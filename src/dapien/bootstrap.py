@@ -1,37 +1,44 @@
 """Resampled-ensemble baseline for prediction intervals.
 
-Phase one trains B identity-output regressors, each on a with-replacement
-resample of the training records; the spread of their predictions
-measures model error.  Phase two trains an exponential-output regressor
-on the squared residuals left after subtracting the ensemble variance,
-measuring target noise.  At prediction time the two error estimates are
-added and the sum is used as the sigma of a symmetric Student-t interval
-with B degrees of freedom.
+Phase one trains B identity-output regressors, each an exact ridge least
+squares fit to a with-replacement resample of the training records; the
+spread of their predictions measures model error.  Phase two trains an
+exponential-output regressor on the squared residuals left after
+subtracting the ensemble variance, measuring target noise.  At prediction
+time both phases are evaluated by ``regressor.predict``, the two error
+estimates are added and the sum is used as the sigma of a symmetric
+Student-t interval with B degrees of freedom.
 
-Per-member seeds derive deterministically from (master seed, member
-index), so serial and any future parallel member training produce
-identical models.
+Per-member seeds are ``child_seed(master seed, member index)``, so serial
+and any future parallel member training produce identical models.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .distributions import t_quantile
-from .errors import DimensionMismatch, DomainError
-from .pipeline import PredictionInterval
-from .regressor import Activation, LinearModel, TrainConfig, predict_batch, train
-
-SERIAL_FORMAT = "bootstrap-model"
-SERIAL_VERSION = 1
+from .errors import DomainError
+from .pipeline import ModelDocument, PredictionInterval
+from .regressor import (
+    Activation,
+    LinearModel,
+    TrainConfig,
+    child_seed,
+    predict,
+    predict_batch,
+    train,
+)
 
 
 @dataclass(frozen=True)
-class BootstrapModel:
+class BootstrapModel(ModelDocument):
     """Ensemble members plus the trained residual-error regressor."""
+
+    FORMAT = "bootstrap-model"
+    VERSIONS = (1,)
 
     members: tuple[LinearModel, ...]
     noise_model: LinearModel
@@ -41,14 +48,9 @@ class BootstrapModel:
         if self.b < 2 or len(self.members) != self.b:
             raise ValueError(f"need b >= 2 members, got {len(self.members)} of b={self.b}")
 
-    @property
-    def dim(self) -> int:
-        return self.members[0].dim
-
     def to_dict(self) -> dict:
         return {
-            "format": SERIAL_FORMAT,
-            "version": SERIAL_VERSION,
+            **self._header(),
             "b": self.b,
             "members": [m.to_dict() for m in self.members],
             "noise_model": self.noise_model.to_dict(),
@@ -56,29 +58,12 @@ class BootstrapModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "BootstrapModel":
-        if doc.get("format") != SERIAL_FORMAT:
-            raise ValueError(f"not a {SERIAL_FORMAT} document")
-        if doc.get("version") != SERIAL_VERSION:
-            raise ValueError(f"unsupported version {doc.get('version')}")
+        cls._check_header(doc)
         return cls(
             members=tuple(LinearModel.from_dict(m) for m in doc["members"]),
             noise_model=LinearModel.from_dict(doc["noise_model"]),
             b=int(doc["b"]),
         )
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-
-    @classmethod
-    def load(cls, path) -> "BootstrapModel":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
-
-def _member_seed(master: int, index: int) -> int:
-    child = np.random.SeedSequence(entropy=master, spawn_key=(index,))
-    return int(child.generate_state(1, np.uint64)[0])
 
 
 def bootstrap_fit(samples, b: int, config: TrainConfig) -> BootstrapModel:
@@ -92,37 +77,33 @@ def bootstrap_fit(samples, b: int, config: TrainConfig) -> BootstrapModel:
 
     members = []
     for i in range(b):
-        seed = _member_seed(config.seed, i)
+        seed = child_seed(config.seed, i)
         rng = np.random.default_rng(seed)
         idx = rng.integers(0, n, size=n)
-        member = train(
-            X[idx], y[idx], Activation.IDENTITY, replace(config, seed=seed)
+        members.append(
+            train(X[idx], y[idx], Activation.IDENTITY, replace(config, seed=seed))
         )
-        members.append(member)
 
     preds = np.stack([predict_batch(m, X) for m in members])
     ensemble_mean = preds.mean(axis=0)
     ensemble_var = preds.var(axis=0, ddof=1)
     residual_sq = np.maximum(0.0, (y - ensemble_mean) ** 2 - ensemble_var)
-    noise_model = train(
-        X,
-        residual_sq,
-        Activation.EXPONENTIAL,
-        replace(config, seed=_member_seed(config.seed, b)),
-    )
+    noise_config = replace(config, seed=child_seed(config.seed, b))
+    noise_model = train(X, residual_sq, Activation.EXPONENTIAL, noise_config)
     return BootstrapModel(members=tuple(members), noise_model=noise_model, b=b)
 
 
 def bootstrap_predict_sigma(model: BootstrapModel, x) -> tuple[float, float]:
-    """Ensemble mean and the combined two-phase error estimate at x."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.dim,):
-        raise DimensionMismatch(f"input has length {x.size}, model expects {model.dim}")
-    preds = np.array([float(x @ m.weights) + m.bias for m in model.members])
+    """Ensemble mean and the combined two-phase error estimate at x.
+
+    Raises ``InvalidPrediction`` where a member or the noise model
+    overflows.
+    """
+    x = np.asarray(x, dtype=np.float64)  # once, not per member
+    preds = np.array([predict(m, x) for m in model.members])
     mu = float(preds.mean())
     var = float(preds.var(ddof=1))
-    z = float(x @ model.noise_model.weights) + model.noise_model.bias
-    noise = max(0.0, float(np.exp(z)))
+    noise = predict(model.noise_model, x)
     # the two phase errors are added directly, per the baseline's recipe
     return mu, var + noise
 

@@ -27,7 +27,7 @@ from .errors import DapienError
 from .grouping import group_by_unique_input
 from .metrics import evaluate
 from .pipeline import dapien_fit, dapien_predict_interval, dapien_predict_point
-from .regressor import TrainConfig
+from .regressor import TrainConfig, child_seed
 from .synthdata import (
     GeneratorSpec,
     NoiseKind,
@@ -142,21 +142,16 @@ def run_experiment(config: ExperimentConfig) -> dict:
         )
         fit_samples, dropped = _drop_degenerate_groups(train_samples, family)
 
-        seeds = [
-            int(s.generate_state(1, np.uint64)[0])
-            for s in np.random.SeedSequence(config.train_seed).spawn(2)
-        ]
-        train_config = TrainConfig(
-            max_iterations=config.max_iterations, folds=config.folds, seed=seeds[0]
-        )
-        model = dapien_fit(fit_samples, family, train_config)
-        boot = bootstrap_fit(
-            train_samples,
-            config.bootstrap_b,
+        dapien_config, boot_config = (
             TrainConfig(
-                max_iterations=config.max_iterations, folds=config.folds, seed=seeds[1]
-            ),
+                max_iterations=config.max_iterations,
+                folds=config.folds,
+                seed=child_seed(config.train_seed, i),
+            )
+            for i in range(2)
         )
+        model = dapien_fit(fit_samples, family, dapien_config)
+        boot = bootstrap_fit(train_samples, config.bootstrap_b, boot_config)
 
         # test groups share intervals, so predict once per unique input
         cache: dict[tuple[int, ...], tuple] = {}

@@ -36,23 +36,48 @@ from .distributions import (
     gaussian_interval,
     t_quantile,
 )
-from .errors import DimensionMismatch, DomainError, InvalidPrediction
+from .errors import DomainError, InvalidPrediction
 from .grouping import build_dist_dataset, group_by_unique_input, mean_group_size
 from .regressor import (
     Activation,
     HiddenLayerModel,
     LinearModel,
     TrainConfig,
+    child_seed,
     model_from_dict,
     predict,
     train,
     train_positive,
 )
 
-SERIAL_FORMAT = "dapien-model"
-SERIAL_VERSION = 2
-# version 1 documents hold affine parameter models only; they still load
-_READABLE_VERSIONS = (1, 2)
+
+class ModelDocument:
+    """JSON save and load of a model document headed by format and version.
+
+    A subclass sets ``FORMAT`` and the ``VERSIONS`` it reads, the last being
+    the one it writes; ``to_dict`` starts from ``_header()`` and
+    ``from_dict`` calls ``_check_header`` first.
+    """
+
+    @classmethod
+    def _header(cls) -> dict:
+        return {"format": cls.FORMAT, "version": cls.VERSIONS[-1]}
+
+    @classmethod
+    def _check_header(cls, doc: dict) -> None:
+        if doc.get("format") != cls.FORMAT:
+            raise ValueError(f"not a {cls.FORMAT} document")
+        if doc.get("version") not in cls.VERSIONS:
+            raise ValueError(f"unsupported version {doc.get('version')}")
+
+    def save(self, path) -> None:
+        with open(path, "w") as fh:
+            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
+
+    @classmethod
+    def load(cls, path):
+        with open(path) as fh:
+            return cls.from_dict(json.load(fh))
 
 
 @dataclass(frozen=True)
@@ -78,7 +103,7 @@ class PredictionInterval:
 
 
 @dataclass(frozen=True)
-class DapienModel:
+class DapienModel(ModelDocument):
     """Per-parameter regressors for one noise family.
 
     ``param_models`` order is (mean, sigma) for the Gaussian family and
@@ -88,6 +113,10 @@ class DapienModel:
     present exactly for the Gaussian family, where it feeds the t critical
     value.
     """
+
+    FORMAT = "dapien-model"
+    # version 1 documents hold affine parameter models only; they still load
+    VERSIONS = (1, 2)
 
     family: DistFamily
     param_models: tuple[LinearModel | HiddenLayerModel, ...]
@@ -111,8 +140,7 @@ class DapienModel:
 
     def to_dict(self) -> dict:
         doc = {
-            "format": SERIAL_FORMAT,
-            "version": SERIAL_VERSION,
+            **self._header(),
             "family": self.family.value,
             "models": [m.to_dict() for m in self.param_models],
         }
@@ -122,29 +150,12 @@ class DapienModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DapienModel":
-        if doc.get("format") != SERIAL_FORMAT:
-            raise ValueError(f"not a {SERIAL_FORMAT} document")
-        if doc.get("version") not in _READABLE_VERSIONS:
-            raise ValueError(f"unsupported version {doc.get('version')}")
+        cls._check_header(doc)
         return cls(
             family=DistFamily(doc["family"]),
             param_models=tuple(model_from_dict(m) for m in doc["models"]),
             ndf=doc.get("ndf"),
         )
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-
-    @classmethod
-    def load(cls, path) -> "DapienModel":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
-
-def _child_config(config: TrainConfig, index: int) -> TrainConfig:
-    child = np.random.SeedSequence(entropy=config.seed, spawn_key=(index,))
-    return replace(config, seed=int(child.generate_state(1, np.uint64)[0]))
 
 
 def dapien_fit(samples, family: DistFamily, config: TrainConfig) -> DapienModel:
@@ -157,13 +168,15 @@ def dapien_fit(samples, family: DistFamily, config: TrainConfig) -> DapienModel:
     grouped = group_by_unique_input(samples)
     dist = build_dist_dataset(grouped, family)
     X = np.asarray([x for x, _ in dist.rows], dtype=np.float64)
+    # one child seed per parameter model
+    child = [replace(config, seed=child_seed(config.seed, i)) for i in range(3)]
 
     if family is DistFamily.GAUSSIAN:
         means = [p.mean for _, p in dist.rows]
         sigmas = [math.sqrt(p.variance) for _, p in dist.rows]
         models = (
-            train(X, means, Activation.IDENTITY, _child_config(config, 0)),
-            train_positive(X, sigmas, _child_config(config, 1)),
+            train(X, means, Activation.IDENTITY, child[0]),
+            train_positive(X, sigmas, child[1]),
         )
         return DapienModel(
             family=family, param_models=models, ndf=mean_group_size(grouped)
@@ -173,18 +186,11 @@ def dapien_fit(samples, family: DistFamily, config: TrainConfig) -> DapienModel:
     rates = [p.rate for _, p in dist.rows]
     locs = [p.location for _, p in dist.rows]
     models = (
-        train_positive(X, shapes, _child_config(config, 0)),
-        train_positive(X, rates, _child_config(config, 1)),
-        train(X, locs, Activation.IDENTITY, _child_config(config, 2)),
+        train_positive(X, shapes, child[0]),
+        train_positive(X, rates, child[1]),
+        train(X, locs, Activation.IDENTITY, child[2]),
     )
     return DapienModel(family=family, param_models=models, ndf=None)
-
-
-def _check_input(model: DapienModel, x):
-    if len(x) != model.dim:
-        raise DimensionMismatch(
-            f"input has length {len(x)}, model expects {model.dim}"
-        )
 
 
 def _checked_params(family_params, **values):
@@ -200,14 +206,11 @@ def predict_params(model: DapienModel, x):
     Raises ``InvalidPrediction`` where a regressed parameter overflows or
     falls outside its family's domain (a rate that underflows to 0, say).
     """
-    _check_input(model, x)
+    values = [predict(m, x) for m in model.param_models]
     if model.family is DistFamily.GAUSSIAN:
-        mean = predict(model.param_models[0], x)
-        sigma = predict(model.param_models[1], x)
+        mean, sigma = values
         return _checked_params(GaussianParams, mean=mean, variance=sigma * sigma)
-    shape = predict(model.param_models[0], x)
-    rate = predict(model.param_models[1], x)
-    loc = predict(model.param_models[2], x)
+    shape, rate, loc = values
     return _checked_params(GammaParams, shape=shape, rate=rate, location=loc)
 
 

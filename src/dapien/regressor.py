@@ -2,18 +2,19 @@
 
 ``LinearModel`` is a feedforward network with no hidden layer and an
 identity or exponential output.  Training minimises mean squared error
-(plus an optional ridge penalty on the weights, never the bias) by
-full-batch nonlinear conjugate gradient, Polak-Ribiere variant with
-automatic restarts and a backtracking Armijo line search.  The squared
-error is always taken in the original target space, also for the
-exponential output, matching the architecture rather than a log-transform
-shortcut.
+(plus an optional ridge penalty on the weights, never the bias).  The
+identity output is fitted exactly, by a minimum-norm solve of the ridge
+normal equations; the exponential output by full-batch nonlinear conjugate
+gradient, Polak-Ribiere variant with automatic restarts and a backtracking
+Armijo line search.  The squared error is always taken in the original
+target space, also for the exponential output, matching the architecture
+rather than a log-transform shortcut.
 
 With ``folds >= 2`` the ridge strength is picked from a fixed grid by
 stratified k-fold cross validation (samples ranked by target and dealt
 round-robin into folds) and the model is refit on all data.  Everything is
-deterministic given the config seed; weights start at zero, which for the
-exponential output means a safe all-ones prediction.
+deterministic given the config seed; conjugate-gradient weights start at
+zero, a safe all-ones prediction.
 
 ``train_positive`` fits a positive target (a spread, shape or rate) and
 lets the same folds choose between that exponential-output affine model
@@ -80,6 +81,14 @@ class LinearModel:
     def dim(self) -> int:
         return self.weights.size
 
+    def output(self, X: np.ndarray) -> np.ndarray:
+        """Output for an input vector or (n, dim) matrix; inf where exp overflows."""
+        z = X @ self.weights + self.bias
+        if self.activation is Activation.EXPONENTIAL:
+            with np.errstate(over="ignore"):
+                return np.exp(z)
+        return z
+
     def to_dict(self) -> dict:
         return {
             "weights": [float(v) for v in self.weights],
@@ -131,7 +140,7 @@ class HiddenLayerModel:
         return self.hidden_weights.shape[1]
 
     def output(self, X: np.ndarray) -> np.ndarray:
-        """Clamped positive output for a (n, dim) input matrix."""
+        """Clamped positive output for an input vector or (n, dim) matrix."""
         z = np.tanh(X @ self.hidden_weights.T + self.hidden_bias) @ self.output_weights
         z += self.output_bias
         return np.exp(np.clip(z, math.log(self.lower), math.log(self.upper)))
@@ -170,7 +179,11 @@ def model_from_dict(doc: dict):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimiser and model-selection settings."""
+    """Optimiser and model-selection settings.
+
+    ``max_iterations`` and ``gradient_tolerance`` apply to the iterative fits
+    only (exponential outputs); an identity-output fit is an exact solve.
+    """
 
     max_iterations: int = 500
     gradient_tolerance: float = 1e-10
@@ -189,52 +202,44 @@ class TrainConfig:
             raise ValueError("l2_penalty must be >= 0")
 
 
+def child_seed(seed: int, index: int) -> int:
+    """Seed of ``np.random.SeedSequence(seed).spawn(n)[index]``, any n > index."""
+    child = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
+    return int(child.generate_state(1, np.uint64)[0])
+
+
 def _invalid_output(model) -> InvalidPrediction:
     return InvalidPrediction(
         f"{model.activation.value} output overflows or is not finite for this input"
     )
 
 
-def predict(model, x) -> float:
-    """Model output for a single binary input vector.
-
-    Raises ``InvalidPrediction`` where the output overflows or is not
-    finite; ``predict_batch`` does the same for any row.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.dim,):
-        raise DimensionMismatch(
-            f"input has length {x.size}, model expects {model.dim}"
-        )
-    if isinstance(model, HiddenLayerModel):
-        z = float(model.output(x[None, :])[0])
-    else:
-        z = float(x @ model.weights) + model.bias
-        if model.activation is Activation.EXPONENTIAL:
-            try:
-                z = math.exp(z)
-            except OverflowError:
-                raise _invalid_output(model) from None
-    if not math.isfinite(z):
-        raise _invalid_output(model)
-    return z
-
-
 def predict_batch(model, X) -> np.ndarray:
-    """Vectorised model output for a (n, d) matrix of inputs."""
+    """Model output for a (n, dim) matrix of inputs.
+
+    Raises ``InvalidPrediction`` where any row's output overflows or is not
+    finite; ``predict`` is the same for one input vector.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.dim:
         raise DimensionMismatch(
             f"input matrix has shape {X.shape}, model expects (*, {model.dim})"
         )
-    if isinstance(model, HiddenLayerModel):
-        z = model.output(X)
-    else:
-        z = X @ model.weights + model.bias
-        if model.activation is Activation.EXPONENTIAL:
-            with np.errstate(over="ignore"):
-                z = np.exp(z)
-    if not np.all(np.isfinite(z)):
+    z = model.output(X)
+    if not np.isfinite(z).all():
+        raise _invalid_output(model)
+    return z
+
+
+def predict(model, x) -> float:
+    """Model output for a single input vector, checked as ``predict_batch``."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (model.dim,):
+        raise DimensionMismatch(
+            f"input has length {x.size}, model expects {model.dim}"
+        )
+    z = float(model.output(x))
+    if not math.isfinite(z):
         raise _invalid_output(model)
     return z
 
@@ -258,16 +263,13 @@ def stratified_folds(ts, k: int, seed) -> np.ndarray:
     return folds
 
 
-def _loss_terms(z, w_sq, t, activation, l2):
-    """Objective value from precomputed affine outputs; inf if overflowed.
+def _loss_terms(z, w_sq, t, l2):
+    """Exponential-output objective from precomputed affine outputs.
 
-    An overflowed exponential output is inf, so its squared error is too.
+    An overflowed output is inf, so its squared error, and the value, are too.
     """
-    if activation is Activation.EXPONENTIAL:
-        r = np.exp(z)
-        r -= t
-    else:
-        r = z - t
+    r = np.exp(z)
+    r -= t
     return float(r @ r) / z.size + l2 * w_sq
 
 
@@ -288,30 +290,36 @@ def loss_and_gradient(w, b, X, t, activation, l2):
     return loss, gw, gb
 
 
-def _train_single(X, t, activation, l2, max_iterations, gradient_tolerance):
-    """Conjugate-gradient fit from zero initialisation.
+def _solve_ridge(X, t, l2):
+    """Exact identity-output fit: (weights, bias) minimising MSE + ridge.
+
+    Solves ``(A'A + n l2 D) theta = A't``, with ``A`` the design plus a
+    column of ones and ``D`` the identity minus its bias entry, by
+    minimum-norm least squares: a rank-deficient design gets the solution
+    that gradient descent from zero converges to.
+    """
+    n, dim = X.shape
+    A = np.hstack([X, np.ones((n, 1))])
+    G = A.T @ A
+    G[np.arange(dim), np.arange(dim)] += n * l2
+    theta = np.linalg.lstsq(G, A.T @ t, rcond=None)[0]
+    return theta[:-1], float(theta[-1])
+
+
+def _conjugate_gradient(X, t, l2, max_iterations, gradient_tolerance):
+    """Exponential-output fit by conjugate gradient from zero initialisation.
 
     Returns (weights, bias, per-iteration losses).  The trial step each
-    iteration comes from the (Gauss-Newton) curvature along the search
+    iteration comes from the Gauss-Newton curvature along the search
     direction and is then vetted by Armijo backtracking, so accepted steps
     strictly decrease the objective.
     """
-    # an overflowing trial step scores inf and is backtracked; silencing
-    # the warning once per fit costs far less than once per trial
-    with np.errstate(over="ignore"):
-        return _conjugate_gradient(
-            X, t, activation, l2, max_iterations, gradient_tolerance
-        )
-
-
-def _conjugate_gradient(X, t, activation, l2, max_iterations, gradient_tolerance):
     n, dim = X.shape
     w = np.zeros(dim)
     b = 0.0
     z = np.zeros(n)
 
-    exp_act = activation is Activation.EXPONENTIAL
-    loss, gw, gb = loss_and_gradient(w, b, X, t, activation, l2)
+    loss, gw, gb = loss_and_gradient(w, b, X, t, Activation.EXPONENTIAL, l2)
     g = np.concatenate([gw, [gb]])
     direction = -g
     losses = [loss]
@@ -334,13 +342,9 @@ def _conjugate_gradient(X, t, activation, l2, max_iterations, gradient_tolerance
         db = direction[-1]
         dz = X @ dw + db
 
-        # curvature along the direction (exact for identity, Gauss-Newton
-        # for the exponential output) gives the trial step
-        if exp_act:
-            p = np.exp(z)
-            curv = (2.0 / n) * float((p * dz) @ (p * dz)) + 2.0 * l2 * float(dw @ dw)
-        else:
-            curv = (2.0 / n) * float(dz @ dz) + 2.0 * l2 * float(dw @ dw)
+        # the Gauss-Newton curvature along the direction gives the trial step
+        p = np.exp(z)
+        curv = (2.0 / n) * float((p * dz) @ (p * dz)) + 2.0 * l2 * float(dw @ dw)
         if curv > 0.0 and math.isfinite(curv):
             alpha = -gd / curv
         else:
@@ -353,7 +357,7 @@ def _conjugate_gradient(X, t, activation, l2, max_iterations, gradient_tolerance
         for _ in range(_MAX_BACKTRACKS):
             z_cand = z + alpha * dz
             w_sq_cand = w_sq + 2.0 * alpha * w_dw + alpha * alpha * dw_sq
-            cand = _loss_terms(z_cand, w_sq_cand, t, activation, l2)
+            cand = _loss_terms(z_cand, w_sq_cand, t, l2)
             if cand <= loss + _ARMIJO_C1 * alpha * gd:
                 accepted = True
                 break
@@ -368,7 +372,7 @@ def _conjugate_gradient(X, t, activation, l2, max_iterations, gradient_tolerance
         b = b + alpha * db
         z = z_cand
         alpha_prev = alpha
-        loss, gw, gb = loss_and_gradient(w, b, X, t, activation, l2)
+        loss, gw, gb = loss_and_gradient(w, b, X, t, Activation.EXPONENTIAL, l2)
         g_new = np.concatenate([gw, [gb]])
         beta = max(0.0, float(g_new @ (g_new - g)) / max(float(g @ g), 1e-300))
         direction = -g_new + beta * direction
@@ -393,6 +397,20 @@ def _as_training_data(xs, ts, activation):
     return X, t
 
 
+def _fit_with_l2(X, t, activation, l2, config) -> LinearModel:
+    """LinearModel at ridge strength ``l2``: exact or conjugate gradient."""
+    if activation is Activation.IDENTITY:
+        w, b = _solve_ridge(X, t, l2)
+    else:
+        # an overflowing trial step scores inf and is backtracked; silencing
+        # the warning once per fit costs far less than once per trial
+        with np.errstate(over="ignore"):
+            w, b, _ = _conjugate_gradient(
+                X, t, l2, config.max_iterations, config.gradient_tolerance
+            )
+    return LinearModel(weights=w, bias=b, activation=activation)
+
+
 def _select_l2(X, t, activation, config, fold_of):
     """Ridge strength from ``L2_GRID`` with the least mean held-out MSE.
 
@@ -405,13 +423,8 @@ def _select_l2(X, t, activation, config, fold_of):
         err = 0.0
         for j in range(k):
             held = fold_of == j
-            w, b, _ = _train_single(
-                X[~held], t[~held], activation, l2,
-                config.max_iterations, config.gradient_tolerance,
-            )
-            z = X[held] @ w + b
-            pred = np.exp(z) if activation is Activation.EXPONENTIAL else z
-            err += float(np.mean((pred - t[held]) ** 2))
+            model = _fit_with_l2(X[~held], t[~held], activation, l2, config)
+            err += float(np.mean((model.output(X[held]) - t[held]) ** 2))
         err /= k
         if err < best_err:
             best_err = err
@@ -434,10 +447,7 @@ def _fit_affine(X, t, activation, config, fold_of):
         l2, cv_error = config.l2_penalty, None
     else:
         l2, cv_error = _select_l2(X, t, activation, config, fold_of)
-    w, b, _ = _train_single(
-        X, t, activation, l2, config.max_iterations, config.gradient_tolerance
-    )
-    return LinearModel(weights=w, bias=b, activation=activation), cv_error
+    return _fit_with_l2(X, t, activation, l2, config), cv_error
 
 
 def train(xs, ts, activation: Activation, config: TrainConfig) -> LinearModel:
@@ -588,7 +598,7 @@ def _fit_hidden(X, t, theta0, max_iterations, gradient_tolerance) -> HiddenLayer
 def train_positive(xs, ts, config: TrainConfig):
     """Regressor for a positive parameter: affine or one hidden layer.
 
-    The exponential-output affine model is fit exactly as ``train`` fits
+    The exponential-output affine model is fit just as ``train`` fits
     it.  With ``config.folds >= 2`` a second candidate, ``HIDDEN_UNITS``
     tanh units with an exponential output trained on the same squared
     error, is scored on the same folds that pick the affine model's ridge

@@ -12,6 +12,7 @@ from dapien.bootstrap import (
     bootstrap_predict_sigma,
 )
 from dapien.distributions import t_quantile
+from dapien.errors import DapienError, InvalidPrediction
 from dapien.grouping import Sample
 from dapien.regressor import Activation, LinearModel, TrainConfig
 from dapien.synthdata import GeneratorSpec, NoiseKind, SplitSpec, generate, group_split
@@ -110,6 +111,29 @@ class TestFit:
             for x in sorted({s.x for s in test})
         ]
         assert max(widths) < 0.05
+
+
+def test_noise_model_overflow_is_a_dapien_error():
+    # exp(800) overflows a float: no silent (-inf, inf) interval
+    model = manual_model([1.0, 2.0])
+    broken = BootstrapModel(
+        members=model.members,
+        noise_model=LinearModel(np.array([0.0, 800.0]), 0.0, Activation.EXPONENTIAL),
+        b=2,
+    )
+    assert bootstrap_predict_interval(broken, (1, 0), 0.95).width > 0.0
+    with pytest.raises(InvalidPrediction) as caught:
+        bootstrap_predict_interval(broken, (0, 1), 0.95)
+    assert isinstance(caught.value, DapienError)
+
+
+def test_rejects_foreign_and_unsupported_documents():
+    doc = manual_model([1.0, 2.0]).to_dict()
+    assert BootstrapModel.from_dict(doc).to_dict() == doc
+    with pytest.raises(ValueError, match="not a bootstrap-model"):
+        BootstrapModel.from_dict({**doc, "format": "dapien-model"})
+    with pytest.raises(ValueError, match="unsupported version"):
+        BootstrapModel.from_dict({**doc, "version": 2})
 
 
 def test_serialization_round_trip(tmp_path):

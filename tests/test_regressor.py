@@ -1,4 +1,4 @@
-"""Affine predictor, conjugate-gradient training and fold assignment."""
+"""Affine predictor, exact and conjugate-gradient training, fold assignment."""
 
 import itertools
 
@@ -12,12 +12,16 @@ from dapien.errors import (
     InvalidTarget,
     TooFewSamples,
 )
+from dapien import regressor
 from dapien.regressor import (
+    L2_GRID,
     Activation,
     HiddenLayerModel,
     LinearModel,
     TrainConfig,
-    _train_single,
+    _conjugate_gradient,
+    _solve_ridge,
+    child_seed,
     hidden_loss_and_gradient,
     loss_and_gradient,
     model_from_dict,
@@ -52,6 +56,17 @@ class TestPredict:
         model = LinearModel(np.array([1.0, 2.0]), 0.0, Activation.IDENTITY)
         with pytest.raises(DimensionMismatch):
             predict(model, [1, 0, 1])
+
+    def test_single_input_matches_its_batch_row(self):
+        X = full_design(2)
+        for model in (
+            LinearModel(np.array([0.5, -1.5]), 0.25, Activation.IDENTITY),
+            LinearModel(np.array([0.5, -1.5]), 0.25, Activation.EXPONENTIAL),
+            small_hidden_model(lower=1e-9, upper=1e9),
+        ):
+            batch = predict_batch(model, X)
+            for x, want in zip(X, batch):
+                assert abs(predict(model, x) - want) <= 1e-14 * abs(want)
 
     def test_exponential_overflow_is_a_dapien_error(self):
         model = LinearModel(np.array([0.0, 800.0]), 0.0, Activation.EXPONENTIAL)
@@ -155,13 +170,65 @@ class TestGradient:
             rel = np.linalg.norm(analytic - numeric) / max(1.0, np.linalg.norm(analytic))
             assert rel < 1e-4
 
-    @pytest.mark.parametrize("activation", list(Activation))
-    def test_loss_non_increasing(self, activation):
+    def test_loss_non_increasing(self):
         rng = np.random.default_rng(23)
         X = rng.integers(0, 2, size=(200, 6)).astype(float)
         t = rng.uniform(0.5, 4.0, 200)
-        _, _, losses = _train_single(X, t, activation, 1e-4, 300, 1e-12)
+        with np.errstate(over="ignore"):
+            _, _, losses = _conjugate_gradient(X, t, 1e-4, 300, 1e-12)
         assert all(a >= b - 1e-15 for a, b in zip(losses, losses[1:]))
+
+
+class TestExactSolve:
+    """Identity-output fits solve the ridge normal equations exactly."""
+
+    @pytest.mark.parametrize("l2", L2_GRID)
+    def test_gradient_vanishes_at_solution(self, l2):
+        rng = np.random.default_rng(29)
+        X = rng.integers(0, 2, size=(200, 6)).astype(float)
+        t = X @ rng.normal(0.0, 1.0, 6) + rng.normal(0.0, 0.3, 200)
+        w, b = _solve_ridge(X, t, l2)
+        _, gw, gb = loss_and_gradient(w, b, X, t, Activation.IDENTITY, l2)
+        assert np.max(np.abs(gw)) < 1e-12 and abs(gb) < 1e-12
+
+    def test_constant_zero_column_gets_zero_weight(self):
+        X = full_design(4)
+        X[:, 2] = 0.0
+        t = X @ np.array([1.0, -2.0, 0.0, 0.5]) + 3.0
+        w, b = _solve_ridge(X, t, 0.0)
+        assert abs(w[2]) < 1e-12
+        assert np.allclose(np.delete(w, 2), [1.0, -2.0, 0.5]) and abs(b - 3.0) < 1e-9
+
+    def test_column_duplicating_the_bias_splits_evenly(self):
+        # the minimum-norm solution, which gradient descent from zero reaches
+        X = full_design(3)
+        X[:, 1] = 1.0
+        t = X[:, 0] + 4.0
+        w, b = _solve_ridge(X, t, 0.0)
+        assert abs(w[1] - 2.0) < 1e-9 and abs(b - 2.0) < 1e-9
+        assert abs(w[0] - 1.0) < 1e-9 and abs(w[2]) < 1e-9
+
+    def test_identity_fits_evaluate_no_gradient(self, monkeypatch):
+        calls = []
+        original = regressor.loss_and_gradient
+
+        def counted(*args):
+            calls.append(args[4])
+            return original(*args)
+
+        monkeypatch.setattr(regressor, "loss_and_gradient", counted)
+        X = full_design(4)
+        train(X, X.sum(axis=1), Activation.IDENTITY, TrainConfig(seed=1))
+        assert calls == []
+        train(X, np.exp(X[:, 0]), Activation.EXPONENTIAL, TrainConfig(seed=1))
+        assert set(calls) == {Activation.EXPONENTIAL}
+
+
+@pytest.mark.parametrize("seed", [303, 7])
+def test_child_seed_matches_spawned_children(seed):
+    spawned = np.random.SeedSequence(seed).spawn(2)
+    for i, child in enumerate(spawned):
+        assert child_seed(seed, i) == int(child.generate_state(1, np.uint64)[0])
 
 
 class TestStratifiedFolds:
