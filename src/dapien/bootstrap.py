@@ -9,6 +9,12 @@ time both phases are evaluated by ``regressor.predict``, the two error
 estimates are added and the sum is used as the sigma of a symmetric
 Student-t interval with B degrees of freedom.
 
+The training records are grouped by input once.  Every fit gets the
+distinct inputs plus a row index per record (``train(..., rows=...)``),
+so the regressors train on per-input cell statistics rather than on the
+records, and fit the same models; the ensemble is evaluated once per
+distinct input.
+
 Per-member seeds are ``child_seed(master seed, member index)``, so serial
 and any future parallel member training produce identical models.
 """
@@ -21,6 +27,7 @@ import numpy as np
 
 from .distributions import t_quantile
 from .errors import DomainError
+from .grouping import index_by_unique_input
 from .pipeline import ModelDocument, PredictionInterval
 from .regressor import (
     Activation,
@@ -67,12 +74,15 @@ class BootstrapModel(ModelDocument):
 
 
 def bootstrap_fit(samples, b: int, config: TrainConfig) -> BootstrapModel:
-    """Train the B-member ensemble and the residual-error regressor."""
+    """Train the B-member ensemble and the residual-error regressor.
+
+    Raises ``EmptyDataset`` or ``RaggedFeatures`` as
+    ``group_by_unique_input`` does.
+    """
     if b < 2:
         raise ValueError(f"b must be >= 2, got {b}")
-    samples = list(samples)
-    X = np.asarray([s.x for s in samples], dtype=np.float64)
-    y = np.asarray([s.y for s in samples], dtype=np.float64)
+    inputs, index, y = index_by_unique_input(samples)
+    U = np.asarray(inputs, dtype=np.float64)
     n = y.size
 
     members = []
@@ -80,16 +90,19 @@ def bootstrap_fit(samples, b: int, config: TrainConfig) -> BootstrapModel:
         seed = child_seed(config.seed, i)
         rng = np.random.default_rng(seed)
         idx = rng.integers(0, n, size=n)
+        member_config = replace(config, seed=seed)
         members.append(
-            train(X[idx], y[idx], Activation.IDENTITY, replace(config, seed=seed))
+            train(U, y[idx], Activation.IDENTITY, member_config, rows=index[idx])
         )
 
-    preds = np.stack([predict_batch(m, X) for m in members])
-    ensemble_mean = preds.mean(axis=0)
-    ensemble_var = preds.var(axis=0, ddof=1)
+    preds = np.stack([predict_batch(m, U) for m in members])
+    ensemble_mean = preds.mean(axis=0)[index]
+    ensemble_var = preds.var(axis=0, ddof=1)[index]
     residual_sq = np.maximum(0.0, (y - ensemble_mean) ** 2 - ensemble_var)
     noise_config = replace(config, seed=child_seed(config.seed, b))
-    noise_model = train(X, residual_sq, Activation.EXPONENTIAL, noise_config)
+    noise_model = train(
+        U, residual_sq, Activation.EXPONENTIAL, noise_config, rows=index
+    )
     return BootstrapModel(members=tuple(members), noise_model=noise_model, b=b)
 
 

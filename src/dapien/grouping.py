@@ -57,6 +57,35 @@ class DistDataset:
     family: DistFamily
 
 
+def index_by_unique_input(samples):
+    """Distinct input vectors, each sample's index into them, and the targets.
+
+    Inputs are numbered in order of first appearance; the index and the
+    target array follow the sample order.
+
+    Raises
+    ------
+    EmptyDataset
+        If no samples are given.
+    RaggedFeatures
+        If feature vectors differ in length.
+    """
+    samples = list(samples)
+    if not samples:
+        raise EmptyDataset("no samples to group")
+    d = len(samples[0].x)
+    numbers: dict[tuple[int, ...], int] = {}
+    index = []
+    for s in samples:
+        if len(s.x) != d:
+            raise RaggedFeatures(
+                f"feature length {len(s.x)} differs from first sample's {d}"
+            )
+        index.append(numbers.setdefault(s.x, len(numbers)))
+    targets = np.array([s.y for s in samples], dtype=np.float64)
+    return tuple(numbers), np.array(index, dtype=np.intp), targets
+
+
 def group_by_unique_input(samples) -> GroupedDataset:
     """Partition samples into one group per distinct input vector.
 
@@ -70,21 +99,11 @@ def group_by_unique_input(samples) -> GroupedDataset:
     RaggedFeatures
         If feature vectors differ in length.
     """
-    samples = list(samples)
-    if not samples:
-        raise EmptyDataset("no samples to group")
-    d = len(samples[0].x)
-    buckets: dict[tuple[int, ...], list[float]] = {}
-    for s in samples:
-        if len(s.x) != d:
-            raise RaggedFeatures(
-                f"feature length {len(s.x)} differs from first sample's {d}"
-            )
-        buckets.setdefault(s.x, []).append(s.y)
-    groups = tuple(
-        (x, np.asarray(ys, dtype=np.float64)) for x, ys in buckets.items()
-    )
-    return GroupedDataset(groups=groups, d=d)
+    inputs, index, targets = index_by_unique_input(samples)
+    by_group = targets[np.argsort(index, kind="stable")]
+    ends = np.cumsum(np.bincount(index))
+    groups = tuple(zip(inputs, np.split(by_group, ends[:-1])))
+    return GroupedDataset(groups=groups, d=len(inputs[0]))
 
 
 def build_dist_dataset(grouped: GroupedDataset, family: DistFamily) -> DistDataset:

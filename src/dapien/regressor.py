@@ -10,11 +10,22 @@ Armijo line search.  The squared error is always taken in the original
 target space, also for the exponential output, matching the architecture
 rather than a log-transform shortcut.
 
+Training works on cell statistics, not on raw records.  Inputs often
+repeat (``train`` can take each distinct input once, with a row index per
+target), and for squared error the records of one input contribute only
+through their count, mean target and spread about that mean: the summed
+error of an output ``o`` is ``count * (o - mean)**2 + spread``.  So every
+fit sees one row per distinct input, weighted by its record count, and
+finds the same model a fit to the records would; the ridge is scaled by
+the record count, as it would be there.
+
 With ``folds >= 2`` the ridge strength is picked from a fixed grid by
-stratified k-fold cross validation (samples ranked by target and dealt
-round-robin into folds) and the model is refit on all data.  Everything is
-deterministic given the config seed; conjugate-gradient weights start at
-zero, a safe all-ones prediction.
+stratified k-fold cross validation (records ranked by target and dealt
+round-robin into folds; each fold's training and held-out records are then
+summed per input) and the model is refit on all data.  An identity fit
+builds a fold's normal equations once and only adds each ridge strength to
+their diagonal.  Everything is deterministic given the config seed;
+conjugate-gradient weights start at zero, a safe all-ones prediction.
 
 ``train_positive`` fits a positive target (a spread, shape or rate) and
 lets the same folds choose between that exponential-output affine model
@@ -263,14 +274,14 @@ def stratified_folds(ts, k: int, seed) -> np.ndarray:
     return folds
 
 
-def _loss_terms(z, w_sq, t, l2):
-    """Exponential-output objective from precomputed affine outputs.
+def _loss_terms(z, w_sq, t, c, n, l2):
+    """Weighted exponential-output objective from precomputed affine outputs.
 
     An overflowed output is inf, so its squared error, and the value, are too.
     """
     r = np.exp(z)
     r -= t
-    return float(r @ r) / z.size + l2 * w_sq
+    return float((c * r) @ r) / n + l2 * w_sq
 
 
 def loss_and_gradient(w, b, X, t, activation, l2):
@@ -290,36 +301,72 @@ def loss_and_gradient(w, b, X, t, activation, l2):
     return loss, gw, gb
 
 
-def _solve_ridge(X, t, l2):
-    """Exact identity-output fit: (weights, bias) minimising MSE + ridge.
+def _weighted_objective(w, b, X, t, c, l2):
+    """Exponential-output objective over weighted rows and its gradient in (w, b).
 
-    Solves ``(A'A + n l2 D) theta = A't``, with ``A`` the design plus a
-    column of ones and ``D`` the identity minus its bias entry, by
-    minimum-norm least squares: a rank-deficient design gets the solution
-    that gradient descent from zero converges to.
+    The objective is ``sum(c * (exp(X w + b) - t)**2) / sum(c) + l2 * w.w``.
+    With ``c`` the record counts of cells and ``t`` their mean targets it
+    differs from the records' MSE + ridge by a constant, so the two share
+    their gradient and minimiser; with unit weights it is the exponential
+    objective of ``loss_and_gradient``.
     """
-    n, dim = X.shape
-    A = np.hstack([X, np.ones((n, 1))])
-    G = A.T @ A
-    G[np.arange(dim), np.arange(dim)] += n * l2
-    theta = np.linalg.lstsq(G, A.T @ t, rcond=None)[0]
+    n = float(c.sum())
+    p = np.exp(X @ w + b)
+    r = p - t
+    cr = c * r
+    gz = (2.0 / n) * cr * p
+    loss = float(cr @ r) / n + l2 * float(w @ w)
+    gw = X.T @ gz + 2.0 * l2 * w
+    return loss, gw, float(gz.sum())
+
+
+def _normal_equations(X, c, t):
+    """Gram matrix and right-hand side of least squares with a bias column.
+
+    Row ``i`` of ``X``, with target ``t[i]``, counts ``c[i]`` times.
+    """
+    A = np.hstack([X, np.ones((X.shape[0], 1))])
+    return (A * c[:, None]).T @ A, A.T @ (c * t)
+
+
+def _solve_ridge(G, rhs, ridge):
+    """Exact identity-output fit: (weights, bias) from the normal equations.
+
+    Solves ``(G + ridge D) theta = rhs``, with ``D`` the identity minus its
+    bias entry, by minimum-norm least squares: a rank-deficient design gets
+    the solution that gradient descent from zero converges to.
+    """
+    dim = G.shape[0] - 1
+    G = G.copy()
+    G[np.arange(dim), np.arange(dim)] += ridge
+    theta = np.linalg.lstsq(G, rhs, rcond=None)[0]
     return theta[:-1], float(theta[-1])
 
 
-def _conjugate_gradient(X, t, l2, max_iterations, gradient_tolerance):
+def _conjugate_gradient(X, t, c, l2, max_iterations, gradient_tolerance):
     """Exponential-output fit by conjugate gradient from zero initialisation.
 
-    Returns (weights, bias, per-iteration losses).  The trial step each
-    iteration comes from the Gauss-Newton curvature along the search
-    direction and is then vetted by Armijo backtracking, so accepted steps
-    strictly decrease the objective.
+    Minimises ``_weighted_objective`` with row weights ``c``.  Returns
+    (weights, bias, per-iteration losses).  The trial step each iteration
+    comes from the Gauss-Newton curvature along the search direction and is
+    then vetted by Armijo backtracking, so accepted steps strictly decrease
+    the objective.
     """
-    n, dim = X.shape
+    rows, dim = X.shape
+    n = float(c.sum())
+    if np.all(c == 1.0):
+        # records that are their own rows: the unweighted objective, which
+        # the weighted one equals bit for bit at unit weights
+        def objective(w, b):
+            return loss_and_gradient(w, b, X, t, Activation.EXPONENTIAL, l2)
+    else:
+        def objective(w, b):
+            return _weighted_objective(w, b, X, t, c, l2)
     w = np.zeros(dim)
     b = 0.0
-    z = np.zeros(n)
+    z = np.zeros(rows)
 
-    loss, gw, gb = loss_and_gradient(w, b, X, t, Activation.EXPONENTIAL, l2)
+    loss, gw, gb = objective(w, b)
     g = np.concatenate([gw, [gb]])
     direction = -g
     losses = [loss]
@@ -343,8 +390,8 @@ def _conjugate_gradient(X, t, l2, max_iterations, gradient_tolerance):
         dz = X @ dw + db
 
         # the Gauss-Newton curvature along the direction gives the trial step
-        p = np.exp(z)
-        curv = (2.0 / n) * float((p * dz) @ (p * dz)) + 2.0 * l2 * float(dw @ dw)
+        pdz = np.exp(z) * dz
+        curv = (2.0 / n) * float((c * pdz) @ pdz) + 2.0 * l2 * float(dw @ dw)
         if curv > 0.0 and math.isfinite(curv):
             alpha = -gd / curv
         else:
@@ -357,7 +404,7 @@ def _conjugate_gradient(X, t, l2, max_iterations, gradient_tolerance):
         for _ in range(_MAX_BACKTRACKS):
             z_cand = z + alpha * dz
             w_sq_cand = w_sq + 2.0 * alpha * w_dw + alpha * alpha * dw_sq
-            cand = _loss_terms(z_cand, w_sq_cand, t, l2)
+            cand = _loss_terms(z_cand, w_sq_cand, t, c, n, l2)
             if cand <= loss + _ARMIJO_C1 * alpha * gd:
                 accepted = True
                 break
@@ -372,7 +419,7 @@ def _conjugate_gradient(X, t, l2, max_iterations, gradient_tolerance):
         b = b + alpha * db
         z = z_cand
         alpha_prev = alpha
-        loss, gw, gb = loss_and_gradient(w, b, X, t, Activation.EXPONENTIAL, l2)
+        loss, gw, gb = objective(w, b)
         g_new = np.concatenate([gw, [gb]])
         beta = max(0.0, float(g_new @ (g_new - g)) / max(float(g @ g), 1e-300))
         direction = -g_new + beta * direction
@@ -382,49 +429,107 @@ def _conjugate_gradient(X, t, l2, max_iterations, gradient_tolerance):
     return w, b, losses
 
 
-def _as_training_data(xs, ts, activation):
-    """Validated design matrix and target vector, exp targets floored."""
+def _as_training_data(xs, ts, activation, rows=None):
+    """Validated inputs, the input row of every target, and the targets.
+
+    Without ``rows`` every target has its own input row.  Exponential
+    targets are floored at 1e-9, record by record.
+    """
     X = np.asarray(xs, dtype=np.float64)
-    if X.ndim != 2:
-        X = X.reshape(len(ts), -1)
     t = np.asarray(ts, dtype=np.float64)
-    if X.shape[0] != t.size or t.size < 1:
-        raise ValueError(f"got {X.shape[0]} inputs and {t.size} targets")
+    if rows is None:
+        if X.ndim != 2:
+            X = X.reshape(len(ts), -1)
+        if X.shape[0] != t.size or t.size < 1:
+            raise ValueError(f"got {X.shape[0]} inputs and {t.size} targets")
+        rows = np.arange(t.size)
+    else:
+        if t.size < 1:
+            raise ValueError("got no targets")
+        rows = np.asarray(rows)
+        if rows.dtype.kind not in "iu" or rows.shape != (t.size,) or X.ndim != 2:
+            raise DimensionMismatch(
+                f"need one integer row index per target ({t.size}), got shape "
+                f"{rows.shape} of {rows.dtype}"
+            )
+        if rows.min() < 0 or rows.max() >= X.shape[0]:
+            raise DimensionMismatch(
+                f"row indices must lie in [0, {X.shape[0]}), got "
+                f"[{rows.min()}, {rows.max()}]"
+            )
     if not np.all(np.isfinite(t)):
         raise InvalidTarget("targets must be finite")
     if activation is Activation.EXPONENTIAL:
         t = np.maximum(t, 1e-9)
-    return X, t
+    return X, rows, t
 
 
-def _fit_with_l2(X, t, activation, l2, config) -> LinearModel:
-    """LinearModel at ridge strength ``l2``: exact or conjugate gradient."""
+def _per_input(rows, t):
+    """Records summed into one cell per input row.
+
+    Returns the rows present and, for each, the record count (as floats),
+    the mean target and the summed squared deviation from that mean.  For
+    squared error these are sufficient: an output ``o`` at a cell's input
+    errs by ``count * (o - mean)**2 + spread`` summed over its records.
+    """
+    count = np.bincount(rows).astype(np.float64)
+    mean = np.bincount(rows, weights=t) / np.maximum(count, 1.0)
+    dev = t - mean[rows]
+    spread = np.bincount(rows, weights=dev * dev, minlength=count.size)
+    present = count > 0
+    return np.flatnonzero(present), count[present], mean[present], spread[present]
+
+
+def _held_out_error(output, count, mean, spread) -> float:
+    """MSE over the records of some cells, given the output at each cell."""
+    r = output - mean
+    return (float(np.sum(count * r * r)) + float(spread.sum())) / float(count.sum())
+
+
+def _ridge_fits(X, c, t, activation, config):
+    """``fit(l2)``: the LinearModel at ridge strength ``l2`` on weighted rows.
+
+    Row ``i`` of ``X`` stands for ``c[i]`` records of mean target ``t[i]``;
+    the ridge is scaled by the record count, as a fit to the records would
+    scale it.  An identity fit solves normal equations built once for
+    every ``l2``; an exponential one runs conjugate gradient.
+    """
     if activation is Activation.IDENTITY:
-        w, b = _solve_ridge(X, t, l2)
-    else:
+        G, rhs = _normal_equations(X, c, t)
+        n = float(c.sum())
+        return lambda l2: LinearModel(*_solve_ridge(G, rhs, n * l2), activation)
+
+    def fit(l2):
         # an overflowing trial step scores inf and is backtracked; silencing
         # the warning once per fit costs far less than once per trial
         with np.errstate(over="ignore"):
             w, b, _ = _conjugate_gradient(
-                X, t, l2, config.max_iterations, config.gradient_tolerance
+                X, t, c, l2, config.max_iterations, config.gradient_tolerance
             )
-    return LinearModel(weights=w, bias=b, activation=activation)
+        return LinearModel(weights=w, bias=b, activation=activation)
+
+    return fit
 
 
-def _select_l2(X, t, activation, config, fold_of):
+def _select_l2(X, rows, t, activation, config, fold_of):
     """Ridge strength from ``L2_GRID`` with the least mean held-out MSE.
 
+    Each fold's training and held-out records are summed per input first.
     Returns ``(l2, cv_error)``.
     """
     k = int(fold_of.max()) + 1
+    errors = [0.0] * len(L2_GRID)
+    for j in range(k):
+        held = fold_of == j
+        inputs, count, mean, _ = _per_input(rows[~held], t[~held])
+        fit = _ridge_fits(X[inputs], count, mean, activation, config)
+        inputs, count, mean, spread = _per_input(rows[held], t[held])
+        for i, l2 in enumerate(L2_GRID):
+            output = fit(l2).output(X[inputs])
+            errors[i] += _held_out_error(output, count, mean, spread)
     best_l2 = L2_GRID[0]
     best_err = np.inf
-    for l2 in L2_GRID:
-        err = 0.0
-        for j in range(k):
-            held = fold_of == j
-            model = _fit_with_l2(X[~held], t[~held], activation, l2, config)
-            err += float(np.mean((model.output(X[held]) - t[held]) ** 2))
+    for l2, err in zip(L2_GRID, errors):
         err /= k
         if err < best_err:
             best_err = err
@@ -438,34 +543,44 @@ def _folds(t, config):
     return stratified_folds(t, k, config.seed) if k >= 2 else None
 
 
-def _fit_affine(X, t, activation, config, fold_of):
+def _fit_affine(X, rows, t, activation, config, fold_of):
     """LinearModel with its ridge picked on ``fold_of``, and that CV error.
 
-    Without folds the ridge is ``config.l2_penalty`` and the error None.
+    Target ``i`` belongs to input ``X[rows[i]]``.  Without folds the ridge
+    is ``config.l2_penalty`` and the error None.
     """
     if fold_of is None:
         l2, cv_error = config.l2_penalty, None
     else:
-        l2, cv_error = _select_l2(X, t, activation, config, fold_of)
-    return _fit_with_l2(X, t, activation, l2, config), cv_error
+        l2, cv_error = _select_l2(X, rows, t, activation, config, fold_of)
+    inputs, count, mean, _ = _per_input(rows, t)
+    return _ridge_fits(X[inputs], count, mean, activation, config)(l2), cv_error
 
 
-def train(xs, ts, activation: Activation, config: TrainConfig) -> LinearModel:
+def train(
+    xs, ts, activation: Activation, config: TrainConfig, rows=None
+) -> LinearModel:
     """Fit a LinearModel to (input, target) pairs.
 
-    For the exponential output, targets are floored at 1e-9 before
-    training so zero-spread groups remain usable.  With ``config.folds >=
-    2`` the ridge strength is selected from ``L2_GRID`` by stratified
-    cross validation (``config.l2_penalty`` is only used when selection is
-    disabled via ``folds=1``).
+    Without ``rows``, ``xs[i]`` is the input of target ``ts[i]``.  With
+    ``rows``, ``xs`` holds distinct inputs and ``xs[rows[i]]`` is the input
+    of ``ts[i]``: repeated inputs are stored once, and the model is the
+    one a fit to ``xs[rows]`` gives, up to rounding.  For the exponential
+    output, targets are floored at 1e-9 before training so zero-spread
+    groups remain usable.  With ``config.folds >= 2`` the ridge strength
+    is selected from ``L2_GRID`` by stratified cross validation over the
+    targets (``config.l2_penalty`` is only used when selection is disabled
+    via ``folds=1``).
 
     Raises
     ------
     InvalidTarget
         On non-finite targets.
+    DimensionMismatch
+        When ``rows`` is not one in-range integer index per target.
     """
-    X, t = _as_training_data(xs, ts, activation)
-    return _fit_affine(X, t, activation, config, _folds(t, config))[0]
+    X, rows, t = _as_training_data(xs, ts, activation, rows)
+    return _fit_affine(X, rows, t, activation, config, _folds(t, config))[0]
 
 
 def hidden_loss_and_gradient(theta, U, t, units, l2):
@@ -609,9 +724,11 @@ def train_positive(xs, ts, config: TrainConfig):
     every positive parameter pays for them; the one refit of a winner gets
     the full ``config.max_iterations``.
     """
-    X, t = _as_training_data(xs, ts, Activation.EXPONENTIAL)
+    X, rows, t = _as_training_data(xs, ts, Activation.EXPONENTIAL)
     fold_of = _folds(t, config)
-    affine, affine_err = _fit_affine(X, t, Activation.EXPONENTIAL, config, fold_of)
+    affine, affine_err = _fit_affine(
+        X, rows, t, Activation.EXPONENTIAL, config, fold_of
+    )
     if fold_of is None:
         return affine
     theta0 = _hidden_init(X.shape[1], config.seed)

@@ -1,6 +1,7 @@
 """Resampled-ensemble baseline: fitting and interval construction."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,9 +13,16 @@ from dapien.bootstrap import (
     bootstrap_predict_sigma,
 )
 from dapien.distributions import t_quantile
-from dapien.errors import DapienError, InvalidPrediction
+from dapien.errors import DapienError, EmptyDataset, InvalidPrediction, RaggedFeatures
 from dapien.grouping import Sample
-from dapien.regressor import Activation, LinearModel, TrainConfig
+from dapien.regressor import (
+    Activation,
+    LinearModel,
+    TrainConfig,
+    child_seed,
+    predict_batch,
+    train,
+)
 from dapien.synthdata import GeneratorSpec, NoiseKind, SplitSpec, generate, group_split
 
 SILENT = -1000.0  # exp(-1000) underflows to exactly 0: a noiseless noise model
@@ -75,6 +83,48 @@ class TestFit:
     def test_rejects_single_member(self):
         with pytest.raises(ValueError):
             bootstrap_fit([Sample((0,), 1.0)], b=1, config=TrainConfig(seed=0))
+
+    def test_rejects_empty_and_ragged_records(self):
+        with pytest.raises(EmptyDataset):
+            bootstrap_fit([], b=2, config=TrainConfig(seed=0))
+        ragged = [Sample((0, 1), 1.0), Sample((1,), 2.0), Sample((1, 1), 3.0)]
+        with pytest.raises(RaggedFeatures):
+            bootstrap_fit(ragged, b=2, config=TrainConfig(seed=0))
+
+    def test_matches_fits_to_the_resampled_records(self):
+        # the reference fits every member to its resampled record rows, as
+        # a fit without the grouping of repeated inputs does
+        samples = generate(
+            GeneratorSpec(noise=NoiseKind.SCALED_WHITE, d=6, replicates=8, seed=12)
+        )
+        config = TrainConfig(seed=13)
+        model = bootstrap_fit(samples, b=6, config=config)
+        X = np.array([s.x for s in samples], dtype=float)
+        y = np.array([s.y for s in samples])
+        members = []
+        for i, got in enumerate(model.members):
+            seed = child_seed(config.seed, i)
+            idx = np.random.default_rng(seed).integers(0, y.size, y.size)
+            want = train(
+                X[idx], y[idx], Activation.IDENTITY, replace(config, seed=seed)
+            )
+            assert np.max(np.abs(got.weights - want.weights)) <= 1e-9
+            assert abs(got.bias - want.bias) <= 1e-9
+            members.append(want)
+        preds = np.stack([predict_batch(m, X) for m in members])
+        residual_sq = np.maximum(
+            0.0, (y - preds.mean(axis=0)) ** 2 - preds.var(axis=0, ddof=1)
+        )
+        want = train(
+            X,
+            residual_sq,
+            Activation.EXPONENTIAL,
+            replace(config, seed=child_seed(config.seed, 6)),
+        )
+        want_theta = np.append(want.weights, want.bias)
+        got_theta = np.append(model.noise_model.weights, model.noise_model.bias)
+        worst = np.max(np.abs(got_theta - want_theta))
+        assert worst <= 1e-6 * np.max(np.abs(want_theta))
 
     def test_deterministic(self):
         samples = generate(

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dapien.errors import (
     DapienError,
@@ -20,7 +22,11 @@ from dapien.regressor import (
     LinearModel,
     TrainConfig,
     _conjugate_gradient,
+    _held_out_error,
+    _normal_equations,
+    _per_input,
     _solve_ridge,
+    _weighted_objective,
     child_seed,
     hidden_loss_and_gradient,
     loss_and_gradient,
@@ -175,8 +181,24 @@ class TestGradient:
         X = rng.integers(0, 2, size=(200, 6)).astype(float)
         t = rng.uniform(0.5, 4.0, 200)
         with np.errstate(over="ignore"):
-            _, _, losses = _conjugate_gradient(X, t, 1e-4, 300, 1e-12)
+            _, _, losses = _conjugate_gradient(X, t, np.ones(200), 1e-4, 300, 1e-12)
         assert all(a >= b - 1e-15 for a, b in zip(losses, losses[1:]))
+
+    def test_weighted_loss_non_increasing(self):
+        rng = np.random.default_rng(23)
+        X = rng.integers(0, 2, size=(200, 6)).astype(float)
+        t = rng.uniform(0.5, 4.0, 200)
+        c = rng.integers(1, 20, 200).astype(float)
+        with np.errstate(over="ignore"):
+            _, _, losses = _conjugate_gradient(X, t, c, 1e-4, 300, 1e-12)
+        assert len(losses) > 10
+        assert all(a >= b - 1e-15 for a, b in zip(losses, losses[1:]))
+
+
+def solve_ridge(X, t, l2):
+    """Exact identity-output fit to unweighted rows, as ``train`` makes it."""
+    G, rhs = _normal_equations(X, np.ones(t.size), t)
+    return _solve_ridge(G, rhs, t.size * l2)
 
 
 class TestExactSolve:
@@ -187,7 +209,7 @@ class TestExactSolve:
         rng = np.random.default_rng(29)
         X = rng.integers(0, 2, size=(200, 6)).astype(float)
         t = X @ rng.normal(0.0, 1.0, 6) + rng.normal(0.0, 0.3, 200)
-        w, b = _solve_ridge(X, t, l2)
+        w, b = solve_ridge(X, t, l2)
         _, gw, gb = loss_and_gradient(w, b, X, t, Activation.IDENTITY, l2)
         assert np.max(np.abs(gw)) < 1e-12 and abs(gb) < 1e-12
 
@@ -195,7 +217,7 @@ class TestExactSolve:
         X = full_design(4)
         X[:, 2] = 0.0
         t = X @ np.array([1.0, -2.0, 0.0, 0.5]) + 3.0
-        w, b = _solve_ridge(X, t, 0.0)
+        w, b = solve_ridge(X, t, 0.0)
         assert abs(w[2]) < 1e-12
         assert np.allclose(np.delete(w, 2), [1.0, -2.0, 0.5]) and abs(b - 3.0) < 1e-9
 
@@ -204,7 +226,7 @@ class TestExactSolve:
         X = full_design(3)
         X[:, 1] = 1.0
         t = X[:, 0] + 4.0
-        w, b = _solve_ridge(X, t, 0.0)
+        w, b = solve_ridge(X, t, 0.0)
         assert abs(w[1] - 2.0) < 1e-9 and abs(b - 2.0) < 1e-9
         assert abs(w[0] - 1.0) < 1e-9 and abs(w[2]) < 1e-9
 
@@ -222,6 +244,175 @@ class TestExactSolve:
         assert calls == []
         train(X, np.exp(X[:, 0]), Activation.EXPONENTIAL, TrainConfig(seed=1))
         assert set(calls) == {Activation.EXPONENTIAL}
+
+
+def central_difference_gradient(objective, theta, h=1e-6):
+    numeric = np.empty_like(theta)
+    for i in range(theta.size):
+        plus, minus = theta.copy(), theta.copy()
+        plus[i] += h
+        minus[i] -= h
+        numeric[i] = (objective(plus) - objective(minus)) / (2.0 * h)
+    return numeric
+
+
+class TestWeightedObjective:
+    """The conjugate gradient's objective over rows weighted by record counts."""
+
+    def test_analytic_matches_central_differences(self):
+        rng = np.random.default_rng(37)
+        X = rng.integers(0, 2, size=(40, 6)).astype(float)
+        t = rng.uniform(0.1, 3.0, 40)
+        c = rng.integers(1, 9, 40).astype(float)
+        for _ in range(50):
+            theta = rng.normal(0.0, 0.5, 7)
+            _, gw, gb = _weighted_objective(theta[:-1], theta[-1], X, t, c, 1e-3)
+            analytic = np.concatenate([gw, [gb]])
+            numeric = central_difference_gradient(
+                lambda th: _weighted_objective(th[:-1], th[-1], X, t, c, 1e-3)[0], theta
+            )
+            rel = np.linalg.norm(analytic - numeric) / max(1.0, np.linalg.norm(analytic))
+            assert rel < 1e-6
+
+    def test_unit_weights_give_the_unweighted_objective(self):
+        rng = np.random.default_rng(41)
+        X = rng.integers(0, 2, size=(40, 6)).astype(float)
+        t = rng.uniform(0.1, 3.0, 40)
+        for _ in range(20):
+            w, b = rng.normal(0.0, 0.5, 6), float(rng.normal(0.0, 0.5))
+            loss, gw, gb = _weighted_objective(w, b, X, t, np.ones(40), 1e-3)
+            ref_loss, ref_gw, ref_gb = loss_and_gradient(
+                w, b, X, t, Activation.EXPONENTIAL, 1e-3
+            )
+            # exactly: unit-weight fits evaluate loss_and_gradient instead
+            assert loss == ref_loss and gb == ref_gb
+            assert np.array_equal(gw, ref_gw)
+
+    def test_counts_stand_for_repeated_rows(self):
+        # a cell of c records with mean target m: the same gradient as the
+        # records themselves, and a loss lower by their spread around m
+        rng = np.random.default_rng(43)
+        U = rng.integers(0, 2, size=(6, 4)).astype(float)
+        rows = rng.integers(0, 6, 50)
+        t = rng.uniform(0.1, 3.0, 50)
+        inputs, count, mean, spread = _per_input(rows, t)
+        w, b = rng.normal(0.0, 0.5, 4), 0.3
+        loss, gw, gb = _weighted_objective(w, b, U[inputs], mean, count, 1e-3)
+        ref_loss, ref_gw, ref_gb = loss_and_gradient(
+            w, b, U[rows], t, Activation.EXPONENTIAL, 1e-3
+        )
+        assert loss + spread.sum() / 50 == pytest.approx(ref_loss, rel=1e-12)
+        assert np.allclose(gw, ref_gw, rtol=1e-12, atol=1e-14)
+        assert gb == pytest.approx(ref_gb, rel=1e-12)
+
+
+@st.composite
+def repeated_inputs(draw, max_dim=5):
+    """Distinct binary inputs ``U`` and a shuffled record-to-input index.
+
+    ``U`` holds the zero vector, the unit vectors (3-8 records each) and
+    up to 8 other inputs (1-8 records each).
+    """
+    d = draw(st.integers(1, max_dim))
+    base = [0] + [1 << i for i in range(d)]
+    other = st.integers(0, 2**d - 1).filter(lambda c: c not in base)
+    others = draw(st.lists(other, max_size=8, unique=True))
+    codes = base + others
+    U = np.array([[(c >> i) & 1 for i in range(d)] for c in codes], dtype=float)
+    counts = [draw(st.integers(3, 8)) for _ in base]
+    counts += [draw(st.integers(1, 8)) for _ in others]
+    rows = draw(st.permutations(np.repeat(np.arange(len(codes)), counts).tolist()))
+    return U, np.array(rows)
+
+
+def targets(n, low, high):
+    return st.lists(
+        st.floats(low, high, allow_nan=False), min_size=n, max_size=n
+    ).map(np.array)
+
+
+def identifiable(U, rows, t, config):
+    """Whether every fold's training records, and all of them, fix the weights.
+
+    Where they do not, ridge strengths whose held-out errors tie exactly
+    fit different weights, and rounding picks one of them; rows fits and
+    record fits round differently.
+    """
+    k = min(config.folds, t.size)
+    folds = stratified_folds(t, k, config.seed) if k >= 2 else np.zeros(t.size)
+    held_out = range(k) if k >= 2 else []
+    A = np.hstack([U, np.ones((U.shape[0], 1))])
+    return all(
+        np.linalg.matrix_rank(A[np.unique(rows[folds != j])]) == A.shape[1]
+        for j in [*held_out, -1]
+    )
+
+
+class TestTrainOnRows:
+    """``train(U, t, rows=g)`` is ``train(U[g], t)``, however inputs repeat."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data(), folds=st.sampled_from([1, 5]))
+    def test_identity_matches_the_records_fit(self, data, folds):
+        U, rows = data.draw(repeated_inputs())
+        t = data.draw(targets(rows.size, -3.0, 3.0))
+        config = TrainConfig(folds=folds, l2_penalty=1e-4, seed=3)
+        assume(identifiable(U, rows, t, config))
+        cells = train(U, t, Activation.IDENTITY, config, rows=rows)
+        records = train(U[rows], t, Activation.IDENTITY, config)
+        assert np.all(np.abs(cells.weights - records.weights) <= 1e-9)
+        assert abs(cells.bias - records.bias) <= 1e-9
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(data=st.data(), folds=st.sampled_from([1, 5]))
+    def test_exponential_matches_the_records_fit(self, data, folds):
+        U, rows = data.draw(repeated_inputs())
+        t = data.draw(targets(rows.size, 0.1, 5.0))
+        config = TrainConfig(folds=folds, l2_penalty=1e-4, seed=3)
+        cells = train(U, t, Activation.EXPONENTIAL, config, rows=rows)
+        records = train(U[rows], t, Activation.EXPONENTIAL, config)
+        want = np.append(records.weights, records.bias)
+        got = np.append(cells.weights, cells.bias)
+        assert np.all(np.abs(got - want) <= 1e-6 * np.maximum(1.0, np.abs(want)))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_cell_error_is_the_records_mean_error(self, data):
+        U, rows = data.draw(repeated_inputs())
+        t = data.draw(targets(rows.size, -50.0, 50.0))
+        output = data.draw(targets(U.shape[0], -50.0, 50.0))
+        inputs, count, mean, spread = _per_input(rows, t)
+        got = _held_out_error(output[inputs], count, mean, spread)
+        want = float(np.mean((output[rows] - t) ** 2))
+        assert abs(got - want) <= 1e-12 * max(want, 1e-300)
+
+    def test_exponential_targets_are_floored_per_record(self):
+        # each record is floored before the cell averages it: a cell holding
+        # -1 and 3 has mean target 1.5, not 1
+        U = full_design(2)
+        rows = np.array([0, 0, 1, 2, 3, 3, 1, 2])
+        t = np.array([-1.0, 3.0, 0.5, 1.0, 2.0, -4.0, 0.7, 1.2])
+        config = TrainConfig(folds=1, seed=0)
+        got = train(U, t, Activation.EXPONENTIAL, config, rows=rows)
+        floored = train(
+            U, np.maximum(t, 1e-9), Activation.EXPONENTIAL, config, rows=rows
+        )
+        assert got.to_dict() == floored.to_dict()
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [0, 1, 4, 2],  # past the last input
+            [0, -1, 2, 3],  # negative
+            [0, 1, 2],  # one index short
+            [[0, 1], [2, 3]],  # not one index per target
+            [0.0, 1.0, 2.0, 3.0],  # not integers
+        ],
+    )
+    def test_bad_rows_are_a_dimension_mismatch(self, rows):
+        U = full_design(2)
+        with pytest.raises(DimensionMismatch):
+            train(U, [1.0, 2.0, 3.0, 4.0], Activation.IDENTITY, TrainConfig(), rows)
 
 
 @pytest.mark.parametrize("seed", [303, 7])
