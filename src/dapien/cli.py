@@ -78,6 +78,14 @@ class ExperimentConfig:
             raise ValueError("bootstrap_b must be >= 2")
         if self.family is not None:
             DistFamily(self.family)
+        # the specs the run builds check their own fields; a bad value is
+        # a config error, found before anything runs
+        TrainConfig(max_iterations=self.max_iterations, folds=self.folds)
+        SplitSpec(test_fraction=self.test_fraction)
+        if self.dataset in _DATASET_NOISE:
+            GeneratorSpec(
+                noise=_DATASET_NOISE[self.dataset], d=self.d, replicates=self.replicates
+            )
 
     def resolved_family(self) -> DistFamily:
         if self.family is not None:

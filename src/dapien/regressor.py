@@ -4,11 +4,11 @@
 identity or exponential output.  Training minimises mean squared error
 (plus an optional ridge penalty on the weights, never the bias).  The
 identity output is fitted exactly, by a minimum-norm solve of the ridge
-normal equations; the exponential output by full-batch nonlinear conjugate
-gradient, Polak-Ribiere variant with automatic restarts and a backtracking
-Armijo line search.  The squared error is always taken in the original
-target space, also for the exponential output, matching the architecture
-rather than a log-transform shortcut.
+normal equations; the exponential output by full-batch limited-memory BFGS
+(L-BFGS, Liu & Nocedal 1989) with a backtracking Armijo line search, the
+one optimiser of every iterative fit here.  The squared error is always
+taken in the original target space, also for the exponential output,
+matching the architecture rather than a log-transform shortcut.
 
 Training works on cell statistics, not on raw records.  Inputs often
 repeat (``train`` can take each distinct input once, with a row index per
@@ -25,13 +25,13 @@ round-robin into folds; each fold's training and held-out records are then
 summed per input) and the model is refit on all data.  An identity fit
 builds a fold's normal equations once and only adds each ridge strength to
 their diagonal.  Everything is deterministic given the config seed;
-conjugate-gradient weights start at zero, a safe all-ones prediction.
+exponential-output weights start at zero, a safe all-ones prediction.
 
 ``train_positive`` fits a positive target (a spread, shape or rate) and
 lets the same folds choose between that exponential-output affine model
 and a ``HiddenLayerModel``: tanh units, an exponential output clamped to
-the training targets' range, the same squared error, and limited-memory
-BFGS from a seeded start whose output is all ones.
+the training targets' range, the same squared error, and the same L-BFGS
+from a seeded start whose output is all ones.
 """
 
 from __future__ import annotations
@@ -46,17 +46,20 @@ from .errors import DimensionMismatch, InvalidTarget, InvalidPrediction, TooFewS
 
 L2_GRID = (0.0, 1e-6, 1e-4, 1e-2)
 
+# L-BFGS: sufficient-decrease constant, backtracks per line search, the
+# largest gradient component at which a fit stops, and memory
 _ARMIJO_C1 = 1e-4
 _MAX_BACKTRACKS = 60
+_GRADIENT_TOLERANCE = 1e-10
+_LBFGS_MEMORY = 5
 
 # the hidden-layer candidate for positive parameters (see train_positive):
 # its size, ridge on the first layer, L-BFGS iteration cap in the
-# cross-validation fits and memory, and the spread of the first-layer start
-# relative to 1/sqrt(dim)
+# cross-validation fits, and the spread of the first-layer start relative
+# to 1/sqrt(dim)
 HIDDEN_UNITS = 16
 HIDDEN_L2 = 1e-5
 HIDDEN_CV_ITERATIONS = 200
-_LBFGS_MEMORY = 5
 _HIDDEN_INIT_SCALE = 2.0
 
 
@@ -192,25 +195,21 @@ def model_from_dict(doc: dict):
 class TrainConfig:
     """Optimiser and model-selection settings.
 
-    ``max_iterations`` and ``gradient_tolerance`` apply to the iterative fits
-    only (exponential outputs); an identity-output fit is an exact solve.
+    ``max_iterations`` caps the L-BFGS iterations of the iterative fits
+    (exponential outputs); an identity-output fit is an exact solve.
+    ``folds`` is the number of cross-validation folds that pick the ridge
+    strength; with ``folds=1`` there is no selection and no ridge.
     """
 
     max_iterations: int = 500
-    gradient_tolerance: float = 1e-10
     folds: int = 5
     seed: int = 0
-    l2_penalty: float = 0.0
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not self.gradient_tolerance > 0.0:
-            raise ValueError("gradient_tolerance must be > 0")
         if self.folds < 1:
             raise ValueError("folds must be >= 1")
-        if self.l2_penalty < 0.0:
-            raise ValueError("l2_penalty must be >= 0")
 
 
 def child_seed(seed: int, index: int) -> int:
@@ -274,50 +273,32 @@ def stratified_folds(ts, k: int, seed) -> np.ndarray:
     return folds
 
 
-def _loss_terms(z, w_sq, t, c, n, l2):
-    """Weighted exponential-output objective from precomputed affine outputs.
+def loss_and_gradient(w, b, X, t, activation, l2, weights=None):
+    """Squared error + ridge objective and its analytic gradient in (w, b).
 
-    An overflowed output is inf, so its squared error, and the value, are too.
+    Row ``i`` of ``X`` counts ``weights[i]`` times (once each without
+    weights) in the mean.  With the record counts of cells as weights and
+    their mean targets as ``t`` the objective differs from the records'
+    by a constant, so the two share their gradient and minimiser.  Returns
+    ``(loss, gw, gb)``, or ``(inf, None, None)`` where the output
+    overflows; callers may silence that warning.
     """
-    r = np.exp(z)
-    r -= t
-    return float((c * r) @ r) / n + l2 * w_sq
-
-
-def loss_and_gradient(w, b, X, t, activation, l2):
-    """MSE + ridge objective and its analytic gradient in (w, b)."""
-    n = X.shape[0]
+    c = np.ones(X.shape[0]) if weights is None else weights
+    n = float(c.sum())
     z = X @ w + b
     if activation is Activation.EXPONENTIAL:
         p = np.exp(z)
         r = p - t
-        gz = (2.0 / n) * r * p
+        gz = (2.0 / n) * c * r * p
     else:
         r = z - t
-        gz = (2.0 / n) * r
-    loss = float(r @ r) / n + l2 * float(w @ w)
+        gz = (2.0 / n) * c * r
+    loss = float((c * r) @ r) / n + l2 * float(w @ w)
+    if not math.isfinite(loss):
+        return math.inf, None, None
     gw = X.T @ gz + 2.0 * l2 * w
     gb = float(gz.sum())
     return loss, gw, gb
-
-
-def _weighted_objective(w, b, X, t, c, l2):
-    """Exponential-output objective over weighted rows and its gradient in (w, b).
-
-    The objective is ``sum(c * (exp(X w + b) - t)**2) / sum(c) + l2 * w.w``.
-    With ``c`` the record counts of cells and ``t`` their mean targets it
-    differs from the records' MSE + ridge by a constant, so the two share
-    their gradient and minimiser; with unit weights it is the exponential
-    objective of ``loss_and_gradient``.
-    """
-    n = float(c.sum())
-    p = np.exp(X @ w + b)
-    r = p - t
-    cr = c * r
-    gz = (2.0 / n) * cr * p
-    loss = float(cr @ r) / n + l2 * float(w @ w)
-    gw = X.T @ gz + 2.0 * l2 * w
-    return loss, gw, float(gz.sum())
 
 
 def _normal_equations(X, c, t):
@@ -341,92 +322,6 @@ def _solve_ridge(G, rhs, ridge):
     G[np.arange(dim), np.arange(dim)] += ridge
     theta = np.linalg.lstsq(G, rhs, rcond=None)[0]
     return theta[:-1], float(theta[-1])
-
-
-def _conjugate_gradient(X, t, c, l2, max_iterations, gradient_tolerance):
-    """Exponential-output fit by conjugate gradient from zero initialisation.
-
-    Minimises ``_weighted_objective`` with row weights ``c``.  Returns
-    (weights, bias, per-iteration losses).  The trial step each iteration
-    comes from the Gauss-Newton curvature along the search direction and is
-    then vetted by Armijo backtracking, so accepted steps strictly decrease
-    the objective.
-    """
-    rows, dim = X.shape
-    n = float(c.sum())
-    if np.all(c == 1.0):
-        # records that are their own rows: the unweighted objective, which
-        # the weighted one equals bit for bit at unit weights
-        def objective(w, b):
-            return loss_and_gradient(w, b, X, t, Activation.EXPONENTIAL, l2)
-    else:
-        def objective(w, b):
-            return _weighted_objective(w, b, X, t, c, l2)
-    w = np.zeros(dim)
-    b = 0.0
-    z = np.zeros(rows)
-
-    loss, gw, gb = objective(w, b)
-    g = np.concatenate([gw, [gb]])
-    direction = -g
-    losses = [loss]
-    alpha_prev = 1.0
-
-    for _ in range(max_iterations):
-        if np.max(np.abs(g)) <= gradient_tolerance:
-            break
-
-        steepest = bool(np.array_equal(direction, -g))
-        gd = float(g @ direction)
-        if gd >= 0.0:
-            direction = -g
-            steepest = True
-            gd = float(g @ direction)
-            if gd >= 0.0:
-                break
-
-        dw = direction[:-1]
-        db = direction[-1]
-        dz = X @ dw + db
-
-        # the Gauss-Newton curvature along the direction gives the trial step
-        pdz = np.exp(z) * dz
-        curv = (2.0 / n) * float((c * pdz) @ pdz) + 2.0 * l2 * float(dw @ dw)
-        if curv > 0.0 and math.isfinite(curv):
-            alpha = -gd / curv
-        else:
-            alpha = alpha_prev
-
-        w_sq = float(w @ w)
-        w_dw = float(w @ dw)
-        dw_sq = float(dw @ dw)
-        accepted = False
-        for _ in range(_MAX_BACKTRACKS):
-            z_cand = z + alpha * dz
-            w_sq_cand = w_sq + 2.0 * alpha * w_dw + alpha * alpha * dw_sq
-            cand = _loss_terms(z_cand, w_sq_cand, t, c, n, l2)
-            if cand <= loss + _ARMIJO_C1 * alpha * gd:
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            if steepest:
-                break
-            direction = -g
-            continue
-
-        w = w + alpha * dw
-        b = b + alpha * db
-        z = z_cand
-        alpha_prev = alpha
-        loss, gw, gb = objective(w, b)
-        g_new = np.concatenate([gw, [gb]])
-        beta = max(0.0, float(g_new @ (g_new - g)) / max(float(g @ g), 1e-300))
-        direction = -g_new + beta * direction
-        g = g_new
-        losses.append(loss)
-
-    return w, b, losses
 
 
 def _as_training_data(xs, ts, activation, rows=None):
@@ -486,13 +381,28 @@ def _held_out_error(output, count, mean, spread) -> float:
     return (float(np.sum(count * r * r)) + float(spread.sum())) / float(count.sum())
 
 
+def _affine_objective(X, t, c, activation, l2):
+    """``loss_and_gradient`` on weighted rows as a function of ``(w, b)``.
+
+    The module attribute is looked up at every call, so a wrapper installed
+    on it (a call counter, say) sees every evaluation.
+    """
+
+    def objective(theta):
+        loss, gw, gb = loss_and_gradient(theta[:-1], theta[-1], X, t, activation, l2, c)
+        return loss, (None if gw is None else np.append(gw, gb))
+
+    return objective
+
+
 def _ridge_fits(X, c, t, activation, config):
     """``fit(l2)``: the LinearModel at ridge strength ``l2`` on weighted rows.
 
     Row ``i`` of ``X`` stands for ``c[i]`` records of mean target ``t[i]``;
     the ridge is scaled by the record count, as a fit to the records would
     scale it.  An identity fit solves normal equations built once for
-    every ``l2``; an exponential one runs conjugate gradient.
+    every ``l2``; an exponential one runs L-BFGS from zero weights, whose
+    output is all ones.
     """
     if activation is Activation.IDENTITY:
         G, rhs = _normal_equations(X, c, t)
@@ -500,13 +410,9 @@ def _ridge_fits(X, c, t, activation, config):
         return lambda l2: LinearModel(*_solve_ridge(G, rhs, n * l2), activation)
 
     def fit(l2):
-        # an overflowing trial step scores inf and is backtracked; silencing
-        # the warning once per fit costs far less than once per trial
-        with np.errstate(over="ignore"):
-            w, b, _ = _conjugate_gradient(
-                X, t, c, l2, config.max_iterations, config.gradient_tolerance
-            )
-        return LinearModel(weights=w, bias=b, activation=activation)
+        objective = _affine_objective(X, t, c, activation, l2)
+        theta = _lbfgs(objective, np.zeros(X.shape[1] + 1), config.max_iterations)
+        return LinearModel(weights=theta[:-1], bias=theta[-1], activation=activation)
 
     return fit
 
@@ -531,7 +437,9 @@ def _select_l2(X, rows, t, activation, config, fold_of):
     best_err = np.inf
     for l2, err in zip(L2_GRID, errors):
         err /= k
-        if err < best_err:
+        # only a clear improvement replaces the best: where ridge strengths
+        # tie exactly (a rank-deficient fold), rounding must not pick one
+        if err < best_err * (1.0 - 1e-12):
             best_err = err
             best_l2 = l2
     return best_l2, best_err
@@ -546,11 +454,11 @@ def _folds(t, config):
 def _fit_affine(X, rows, t, activation, config, fold_of):
     """LinearModel with its ridge picked on ``fold_of``, and that CV error.
 
-    Target ``i`` belongs to input ``X[rows[i]]``.  Without folds the ridge
-    is ``config.l2_penalty`` and the error None.
+    Target ``i`` belongs to input ``X[rows[i]]``.  Without folds there is
+    no ridge and the error is None.
     """
     if fold_of is None:
-        l2, cv_error = config.l2_penalty, None
+        l2, cv_error = 0.0, None
     else:
         l2, cv_error = _select_l2(X, rows, t, activation, config, fold_of)
     inputs, count, mean, _ = _per_input(rows, t)
@@ -569,8 +477,9 @@ def train(
     output, targets are floored at 1e-9 before training so zero-spread
     groups remain usable.  With ``config.folds >= 2`` the ridge strength
     is selected from ``L2_GRID`` by stratified cross validation over the
-    targets (``config.l2_penalty`` is only used when selection is disabled
-    via ``folds=1``).
+    targets; with ``folds=1`` the fit has no ridge.  An identity output is
+    an exact solve, an exponential one runs L-BFGS for at most
+    ``config.max_iterations`` iterations.
 
     Raises
     ------
@@ -621,17 +530,21 @@ def hidden_loss_and_gradient(theta, U, t, units, l2):
     return loss, grad
 
 
-def _lbfgs(objective, theta, max_iterations, gradient_tolerance):
+@np.errstate(over="ignore")
+def _lbfgs(objective, theta, max_iterations):
     """Limited-memory BFGS with Armijo backtracking; returns the minimiser.
 
-    Stops at ``max_iterations``, when the largest gradient component drops
-    to ``gradient_tolerance``, or when no step along the search direction
-    decreases the objective.
+    ``objective(theta)`` returns the loss and its gradient; a loss of
+    ``inf`` (an overflow, whose warning is silenced once per fit rather
+    than once per trial) fails the line search, which halves the step.
+    Stops at ``max_iterations``, when the largest gradient component
+    drops to ``_GRADIENT_TOLERANCE``, or when no step along the search
+    direction decreases the objective.
     """
     loss, g = objective(theta)
     pairs = []
     for _ in range(max_iterations):
-        if np.max(np.abs(g)) <= gradient_tolerance:
+        if np.max(np.abs(g)) <= _GRADIENT_TOLERANCE:
             break
         # two-loop recursion: direction = -(inverse Hessian estimate) g
         q = g.copy()
@@ -663,6 +576,8 @@ def _lbfgs(objective, theta, max_iterations, gradient_tolerance):
             step *= 0.5
         else:
             break
+        if not cand_loss < loss:
+            break
         s = candidate - theta
         y = cand_g - g
         sy = float(s @ y)
@@ -682,7 +597,7 @@ def _hidden_init(dim, seed) -> np.ndarray:
     return np.concatenate([np.hstack([W, c]).T.ravel(), np.zeros(HIDDEN_UNITS + 1)])
 
 
-def _fit_hidden(X, t, theta0, max_iterations, gradient_tolerance) -> HiddenLayerModel:
+def _fit_hidden(X, t, theta0, max_iterations) -> HiddenLayerModel:
     """Hidden-layer fit from ``theta0``, clamped to the range of ``t``.
 
     Training sees the inputs centred to {-1, +1}, which conditions the
@@ -690,13 +605,11 @@ def _fit_hidden(X, t, theta0, max_iterations, gradient_tolerance) -> HiddenLayer
     first layer so the returned model takes the raw bits.
     """
     U = np.hstack([2.0 * X - 1.0, np.ones((X.shape[0], 1))])
-    with np.errstate(over="ignore"):  # overflowing trial steps score inf
-        theta = _lbfgs(
-            lambda th: hidden_loss_and_gradient(th, U, t, HIDDEN_UNITS, HIDDEN_L2),
-            theta0,
-            max_iterations,
-            gradient_tolerance,
-        )
+    theta = _lbfgs(
+        lambda th: hidden_loss_and_gradient(th, U, t, HIDDEN_UNITS, HIDDEN_L2),
+        theta0,
+        max_iterations,
+    )
     split = U.shape[1] * HIDDEN_UNITS
     A = theta[:split].reshape(U.shape[1], HIDDEN_UNITS)
     W, c = A[:-1], A[-1]
@@ -737,12 +650,8 @@ def train_positive(xs, ts, config: TrainConfig):
     hidden_err = 0.0
     for j in range(k):
         held = fold_of == j
-        model = _fit_hidden(
-            X[~held], t[~held], theta0, cv_iterations, config.gradient_tolerance
-        )
+        model = _fit_hidden(X[~held], t[~held], theta0, cv_iterations)
         hidden_err += float(np.mean((model.output(X[held]) - t[held]) ** 2))
         if hidden_err >= k * affine_err:
             return affine  # no remaining fold can bring its mean below affine_err
-    return _fit_hidden(
-        X, t, theta0, config.max_iterations, config.gradient_tolerance
-    )
+    return _fit_hidden(X, t, theta0, config.max_iterations)

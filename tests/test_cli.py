@@ -177,3 +177,31 @@ class TestCommandLine:
                      "--out", str(tmp_path / "suite")])
         assert code == EXIT_OK
         assert (tmp_path / "suite" / "summary.md").exists()
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"dataset": "A", "folds": 0},
+            {"dataset": "A", "max_iterations": 0},
+            {"test_fraction": 1.5},
+            {"dataset": "B", "d": 0},
+            {"dataset": "C", "replicates": 0},
+        ],
+    )
+    def test_out_of_range_values_are_config_errors(self, tmp_path, doc):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(config_path), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_suite_rejects_an_out_of_range_config_up_front(self, tmp_path):
+        configs_dir = tmp_path / "configs"
+        configs_dir.mkdir()
+        (configs_dir / "a.json").write_text(json.dumps({"dataset": "A", "d": 4}))
+        (configs_dir / "b.json").write_text(json.dumps({"dataset": "A", "folds": 0}))
+        out = tmp_path / "suite"
+        code = main(["suite", "--configs", str(configs_dir), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()

@@ -1,10 +1,10 @@
-"""Affine predictor, exact and conjugate-gradient training, fold assignment."""
+"""Affine and hidden-layer predictors, exact and L-BFGS training, fold assignment."""
 
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dapien.errors import (
@@ -21,12 +21,12 @@ from dapien.regressor import (
     HiddenLayerModel,
     LinearModel,
     TrainConfig,
-    _conjugate_gradient,
+    _affine_objective,
     _held_out_error,
+    _lbfgs,
     _normal_equations,
     _per_input,
     _solve_ridge,
-    _weighted_objective,
     child_seed,
     hidden_loss_and_gradient,
     loss_and_gradient,
@@ -92,13 +92,13 @@ class TestTrain:
         assert np.all(np.abs(model.weights - 1.0) < 1e-4)
         assert abs(model.bias) < 1e-4
 
-    def test_constant_targets_with_ridge(self):
+    def test_constant_targets(self):
         X = full_design(4)
         model = train(
             X,
             np.full(16, 7.0),
             Activation.IDENTITY,
-            TrainConfig(folds=1, l2_penalty=1e-4, seed=1),
+            TrainConfig(folds=1, seed=1),
         )
         assert np.all(np.abs(model.weights) < 1e-6)
         assert abs(model.bias - 7.0) < 1e-6
@@ -106,9 +106,7 @@ class TestTrain:
     def test_exponential_recovers_log_linear(self):
         X = full_design(2)
         t = np.exp(X[:, 0])
-        model = train(
-            X, t, Activation.EXPONENTIAL, TrainConfig(folds=1, l2_penalty=0.0, seed=1)
-        )
+        model = train(X, t, Activation.EXPONENTIAL, TrainConfig(folds=1, seed=1))
         assert abs(model.weights[0] - 1.0) < 1e-3
         assert abs(model.weights[1]) < 1e-3
         assert abs(model.bias) < 1e-3
@@ -180,8 +178,7 @@ class TestGradient:
         rng = np.random.default_rng(23)
         X = rng.integers(0, 2, size=(200, 6)).astype(float)
         t = rng.uniform(0.5, 4.0, 200)
-        with np.errstate(over="ignore"):
-            _, _, losses = _conjugate_gradient(X, t, np.ones(200), 1e-4, 300, 1e-12)
+        losses = lbfgs_losses(X, t, np.ones(200), 1e-4)
         assert all(a >= b - 1e-15 for a, b in zip(losses, losses[1:]))
 
     def test_weighted_loss_non_increasing(self):
@@ -189,10 +186,43 @@ class TestGradient:
         X = rng.integers(0, 2, size=(200, 6)).astype(float)
         t = rng.uniform(0.5, 4.0, 200)
         c = rng.integers(1, 20, 200).astype(float)
-        with np.errstate(over="ignore"):
-            _, _, losses = _conjugate_gradient(X, t, c, 1e-4, 300, 1e-12)
-        assert len(losses) > 10
+        losses = lbfgs_losses(X, t, c, 1e-4)
+        assert len(set(losses)) > 10
         assert all(a >= b - 1e-15 for a, b in zip(losses, losses[1:]))
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_exponential_fit_stops_when_no_step_decreases(self, monkeypatch, weighted):
+        # a fit that accepted zero-length steps would run all 500 iterations,
+        # 13k evaluations with unit weights; it stops after a few dozen
+        rng = np.random.default_rng(23)
+        X = rng.integers(0, 2, size=(200, 6)).astype(float)
+        t = rng.uniform(0.5, 4.0, 200)
+        c = rng.integers(1, 20, 200) if weighted else np.ones(200, dtype=np.int64)
+        rows = np.repeat(np.arange(200), c)
+        calls = count_gradient_calls(monkeypatch)
+        config = TrainConfig(folds=1, seed=1)
+        train(X, np.repeat(t, c), Activation.EXPONENTIAL, config, rows=rows)
+        assert 0 < len(calls) < 500
+
+
+def lbfgs_losses(X, t, c, l2, max_iterations=60):
+    """Exponential-output loss after k L-BFGS iterations from zero, k = 0, 1, ..."""
+    objective = _affine_objective(X, t, c, Activation.EXPONENTIAL, l2)
+    theta0 = np.zeros(X.shape[1] + 1)
+    return [objective(_lbfgs(objective, theta0, k))[0] for k in range(max_iterations + 1)]
+
+
+def count_gradient_calls(monkeypatch):
+    """Record the activation of every ``regressor.loss_and_gradient`` call."""
+    calls = []
+    original = regressor.loss_and_gradient
+
+    def counted(*args):
+        calls.append(args[4])
+        return original(*args)
+
+    monkeypatch.setattr(regressor, "loss_and_gradient", counted)
+    return calls
 
 
 def solve_ridge(X, t, l2):
@@ -231,14 +261,7 @@ class TestExactSolve:
         assert abs(w[0] - 1.0) < 1e-9 and abs(w[2]) < 1e-9
 
     def test_identity_fits_evaluate_no_gradient(self, monkeypatch):
-        calls = []
-        original = regressor.loss_and_gradient
-
-        def counted(*args):
-            calls.append(args[4])
-            return original(*args)
-
-        monkeypatch.setattr(regressor, "loss_and_gradient", counted)
+        calls = count_gradient_calls(monkeypatch)
         X = full_design(4)
         train(X, X.sum(axis=1), Activation.IDENTITY, TrainConfig(seed=1))
         assert calls == []
@@ -257,7 +280,7 @@ def central_difference_gradient(objective, theta, h=1e-6):
 
 
 class TestWeightedObjective:
-    """The conjugate gradient's objective over rows weighted by record counts."""
+    """``loss_and_gradient`` over rows weighted by record counts."""
 
     def test_analytic_matches_central_differences(self):
         rng = np.random.default_rng(37)
@@ -266,11 +289,9 @@ class TestWeightedObjective:
         c = rng.integers(1, 9, 40).astype(float)
         for _ in range(50):
             theta = rng.normal(0.0, 0.5, 7)
-            _, gw, gb = _weighted_objective(theta[:-1], theta[-1], X, t, c, 1e-3)
-            analytic = np.concatenate([gw, [gb]])
-            numeric = central_difference_gradient(
-                lambda th: _weighted_objective(th[:-1], th[-1], X, t, c, 1e-3)[0], theta
-            )
+            objective = _affine_objective(X, t, c, Activation.EXPONENTIAL, 1e-3)
+            analytic = objective(theta)[1]
+            numeric = central_difference_gradient(lambda th: objective(th)[0], theta)
             rel = np.linalg.norm(analytic - numeric) / max(1.0, np.linalg.norm(analytic))
             assert rel < 1e-6
 
@@ -280,11 +301,12 @@ class TestWeightedObjective:
         t = rng.uniform(0.1, 3.0, 40)
         for _ in range(20):
             w, b = rng.normal(0.0, 0.5, 6), float(rng.normal(0.0, 0.5))
-            loss, gw, gb = _weighted_objective(w, b, X, t, np.ones(40), 1e-3)
+            loss, gw, gb = loss_and_gradient(
+                w, b, X, t, Activation.EXPONENTIAL, 1e-3, weights=np.ones(40)
+            )
             ref_loss, ref_gw, ref_gb = loss_and_gradient(
                 w, b, X, t, Activation.EXPONENTIAL, 1e-3
             )
-            # exactly: unit-weight fits evaluate loss_and_gradient instead
             assert loss == ref_loss and gb == ref_gb
             assert np.array_equal(gw, ref_gw)
 
@@ -297,7 +319,9 @@ class TestWeightedObjective:
         t = rng.uniform(0.1, 3.0, 50)
         inputs, count, mean, spread = _per_input(rows, t)
         w, b = rng.normal(0.0, 0.5, 4), 0.3
-        loss, gw, gb = _weighted_objective(w, b, U[inputs], mean, count, 1e-3)
+        loss, gw, gb = loss_and_gradient(
+            w, b, U[inputs], mean, Activation.EXPONENTIAL, 1e-3, weights=count
+        )
         ref_loss, ref_gw, ref_gb = loss_and_gradient(
             w, b, U[rows], t, Activation.EXPONENTIAL, 1e-3
         )
@@ -331,23 +355,6 @@ def targets(n, low, high):
     ).map(np.array)
 
 
-def identifiable(U, rows, t, config):
-    """Whether every fold's training records, and all of them, fix the weights.
-
-    Where they do not, ridge strengths whose held-out errors tie exactly
-    fit different weights, and rounding picks one of them; rows fits and
-    record fits round differently.
-    """
-    k = min(config.folds, t.size)
-    folds = stratified_folds(t, k, config.seed) if k >= 2 else np.zeros(t.size)
-    held_out = range(k) if k >= 2 else []
-    A = np.hstack([U, np.ones((U.shape[0], 1))])
-    return all(
-        np.linalg.matrix_rank(A[np.unique(rows[folds != j])]) == A.shape[1]
-        for j in [*held_out, -1]
-    )
-
-
 class TestTrainOnRows:
     """``train(U, t, rows=g)`` is ``train(U[g], t)``, however inputs repeat."""
 
@@ -356,8 +363,7 @@ class TestTrainOnRows:
     def test_identity_matches_the_records_fit(self, data, folds):
         U, rows = data.draw(repeated_inputs())
         t = data.draw(targets(rows.size, -3.0, 3.0))
-        config = TrainConfig(folds=folds, l2_penalty=1e-4, seed=3)
-        assume(identifiable(U, rows, t, config))
+        config = TrainConfig(folds=folds, seed=3)
         cells = train(U, t, Activation.IDENTITY, config, rows=rows)
         records = train(U[rows], t, Activation.IDENTITY, config)
         assert np.all(np.abs(cells.weights - records.weights) <= 1e-9)
@@ -368,7 +374,7 @@ class TestTrainOnRows:
     def test_exponential_matches_the_records_fit(self, data, folds):
         U, rows = data.draw(repeated_inputs())
         t = data.draw(targets(rows.size, 0.1, 5.0))
-        config = TrainConfig(folds=folds, l2_penalty=1e-4, seed=3)
+        config = TrainConfig(folds=folds, seed=3)
         cells = train(U, t, Activation.EXPONENTIAL, config, rows=rows)
         records = train(U[rows], t, Activation.EXPONENTIAL, config)
         want = np.append(records.weights, records.bias)
@@ -385,6 +391,21 @@ class TestTrainOnRows:
         got = _held_out_error(output[inputs], count, mean, spread)
         want = float(np.mean((output[rows] - t) ** 2))
         assert abs(got - want) <= 1e-12 * max(want, 1e-300)
+
+    def test_tied_ridge_strengths_keep_the_first(self):
+        # one input: ridge 0 (minimum norm) and a positive ridge fit the same
+        # outputs with different weights, and every fold's held-out errors
+        # tie; rounding must not choose between them
+        rng = np.random.default_rng(47)
+        U = np.array([[1.0]])
+        config = TrainConfig(folds=5, seed=0)
+        for _ in range(100):
+            t = rng.uniform(-3.0, 3.0, int(rng.integers(5, 9)))
+            rows = np.zeros(t.size, dtype=np.int64)
+            cells = train(U, t, Activation.IDENTITY, config, rows=rows)
+            records = train(U[rows], t, Activation.IDENTITY, config)
+            assert abs(cells.weights[0] - records.weights[0]) <= 1e-9
+            assert abs(cells.bias - records.bias) <= 1e-9
 
     def test_exponential_targets_are_floored_per_record(self):
         # each record is floored before the cell averages it: a cell holding
@@ -553,7 +574,7 @@ class TestTrainPositive:
 
     def test_without_folds_fits_the_affine_model(self):
         X, sigma, _ = parity_noise_table(9, 0, "A")
-        config = TrainConfig(folds=1, l2_penalty=1e-4, seed=0)
+        config = TrainConfig(folds=1, seed=0)
         model = train_positive(X, sigma, config)
         affine = train(X, sigma, Activation.EXPONENTIAL, config)
         assert isinstance(model, LinearModel)
