@@ -5,18 +5,20 @@ aggregate interval metrics per method, ``intervals.csv`` with one row per
 test sample (the data behind interval plots), and ``config.json`` echoing
 the resolved configuration for provenance.  ``suite`` runs several
 experiments and tabulates PICP/MPIW per (dataset, method).  All outputs
-are byte-stable for a fixed configuration.
+are byte-stable for a fixed configuration.  Each output loops over
+``METHODS``, and an ``ExperimentConfig`` builds every spec a run uses.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import logging
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +48,12 @@ _DATASET_NOISE = {
     "C": NoiseKind.SCALED_GAMMA,
 }
 
+# the compared methods, in report and intervals.csv column order
+METHODS = ("dapien", "bootstrap")
+_REPORT_KEYS = ("picp", "mpiw", "nmpiw", "cwc", "n", "confidence")
+_SUMMARY_FIELDS = ("dataset", "method", "picp", "mpiw", "status")
+_FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
+
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
@@ -72,20 +80,48 @@ class ExperimentConfig:
     output_dir: str = "."
 
     def __post_init__(self):
+        # a field holds a value of its annotated type; JSON's true and false
+        # are ints to Python but never a count or a rate here
+        for f in fields(self):
+            kind, _, optional = f.type.partition(" | ")
+            value, allowed = getattr(self, f.name), _FIELD_TYPES[kind]
+            if optional and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ValueError(f"{f.name} must be of type {kind}, got {value!r}")
         if not (0.0 < self.confidence < 1.0):
             raise ValueError(f"confidence must lie in (0, 1), got {self.confidence}")
         if self.bootstrap_b < 2:
             raise ValueError("bootstrap_b must be >= 2")
         if self.family is not None:
             DistFamily(self.family)
-        # the specs the run builds check their own fields; a bad value is
-        # a config error, found before anything runs
+        # the specs check their own fields, so a bad value is a config error
+        # found before anything runs; training is checked without the seeds,
+        # whose derivation would import numpy.random into every config parse
         TrainConfig(max_iterations=self.max_iterations, folds=self.folds)
-        SplitSpec(test_fraction=self.test_fraction)
+        self.split_spec()
         if self.dataset in _DATASET_NOISE:
-            GeneratorSpec(
-                noise=_DATASET_NOISE[self.dataset], d=self.d, replicates=self.replicates
-            )
+            self.generator_spec()
+
+    def generator_spec(self) -> GeneratorSpec:
+        """The synthetic dataset's spec; only for the datasets A, B and C."""
+        return GeneratorSpec(
+            noise=_DATASET_NOISE[self.dataset],
+            d=self.d,
+            replicates=self.replicates,
+            seed=self.data_seed,
+        )
+
+    def split_spec(self) -> SplitSpec:
+        return SplitSpec(test_fraction=self.test_fraction, seed=self.split_seed)
+
+    def train_config(self, index: int) -> TrainConfig:
+        """Training settings of ``METHODS[index]``: 0 is dapien, 1 the bootstrap."""
+        return TrainConfig(
+            max_iterations=self.max_iterations,
+            folds=self.folds,
+            seed=child_seed(self.train_seed, index),
+        )
 
     def resolved_family(self) -> DistFamily:
         if self.family is not None:
@@ -94,24 +130,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(doc) - known
+        extra = set(doc) - set(cls.__dataclass_fields__)
         if extra:
             raise ValueError(f"unknown config keys: {sorted(extra)}")
         return cls(**doc)
 
 
 def _load_samples(config: ExperimentConfig):
-    name = config.dataset
-    if name in _DATASET_NOISE:
-        spec = GeneratorSpec(
-            noise=_DATASET_NOISE[name],
-            d=config.d,
-            replicates=config.replicates,
-            seed=config.data_seed,
-        )
-        return generate(spec)
-    return read_csv(name)
+    if config.dataset in _DATASET_NOISE:
+        return generate(config.generator_spec())
+    return read_csv(config.dataset)
 
 
 def _drop_degenerate_groups(samples, family: DistFamily):
@@ -133,6 +161,15 @@ def _drop_degenerate_groups(samples, family: DistFamily):
     return [s for s in samples if s.x not in bad], sorted(bad)
 
 
+def _csv_text(header, rows) -> str:
+    """CSV with the csv module's ``\\r\\n`` line ends; write it with ``newline=""``."""
+    table = io.StringIO()
+    writer = csv.writer(table)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return table.getvalue()
+
+
 def run_experiment(config: ExperimentConfig) -> dict:
     """Run one experiment; writes report/intervals/config files.
 
@@ -145,82 +182,52 @@ def run_experiment(config: ExperimentConfig) -> dict:
     try:
         family = config.resolved_family()
         samples = _load_samples(config)
-        train_samples, test_samples = group_split(
-            samples, SplitSpec(test_fraction=config.test_fraction, seed=config.split_seed)
-        )
+        train_samples, test_samples = group_split(samples, config.split_spec())
         fit_samples, dropped = _drop_degenerate_groups(train_samples, family)
+        model = dapien_fit(fit_samples, family, config.train_config(0))
+        boot = bootstrap_fit(train_samples, config.bootstrap_b, config.train_config(1))
 
-        dapien_config, boot_config = (
-            TrainConfig(
-                max_iterations=config.max_iterations,
-                folds=config.folds,
-                seed=child_seed(config.train_seed, i),
-            )
-            for i in range(2)
-        )
-        model = dapien_fit(fit_samples, family, dapien_config)
-        boot = bootstrap_fit(train_samples, config.bootstrap_b, boot_config)
-
-        # test groups share intervals, so predict once per unique input
-        cache: dict[tuple[int, ...], tuple] = {}
-        rows = []
+        # test groups share intervals, so predict once per unique input:
+        # one (interval, point) pair per method, in METHODS order
+        answers: dict[tuple[int, ...], tuple] = {}
         for s in test_samples:
-            if s.x not in cache:
-                d_iv = dapien_predict_interval(model, s.x, config.confidence)
-                d_pt = dapien_predict_point(model, s.x)
-                b_iv = bootstrap_predict_interval(boot, s.x, config.confidence)
-                b_pt = bootstrap_predict_sigma(boot, s.x)[0]
-                cache[s.x] = (d_iv, d_pt, b_iv, b_pt)
-            rows.append((s, *cache[s.x]))
-
-        targets = [s.y for s, *_ in rows]
-        d_report = evaluate(
-            [r[1] for r in rows], targets, config.confidence,
-            cwc_mu=config.cwc_mu, cwc_eta=config.cwc_eta,
-        )
-        b_report = evaluate(
-            [r[3] for r in rows], targets, config.confidence,
-            cwc_mu=config.cwc_mu, cwc_eta=config.cwc_eta,
-        )
-
-        def public(report):
-            doc = report.to_dict()
-            return {k: doc[k] for k in ("picp", "mpiw", "nmpiw", "cwc", "n", "confidence")}
-
-        report = {"dapien": public(d_report), "bootstrap": public(b_report)}
-
-        report_path = out_dir / "report.json"
-        written.append(report_path)
-        report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-
-        intervals_path = out_dir / "intervals.csv"
-        written.append(intervals_path)
-        dim = len(rows[0][0].x)
-        with open(intervals_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                [f"x_{j}" for j in range(dim)]
-                + [
-                    "y",
-                    "dapien_lower", "dapien_point", "dapien_upper",
-                    "bootstrap_lower", "bootstrap_point", "bootstrap_upper",
-                ]
-            )
-            for s, d_iv, d_pt, b_iv, b_pt in rows:
-                writer.writerow(
-                    list(s.x)
-                    + [repr(v) for v in (
-                        s.y, d_iv.lower, d_pt, d_iv.upper,
-                        b_iv.lower, b_pt, b_iv.upper,
-                    )]
+            if s.x not in answers:
+                answers[s.x] = (
+                    (dapien_predict_interval(model, s.x, config.confidence),
+                     dapien_predict_point(model, s.x)),
+                    (bootstrap_predict_interval(boot, s.x, config.confidence),
+                     bootstrap_predict_sigma(boot, s.x)[0]),
                 )
+        per_sample = [answers[s.x] for s in test_samples]
 
-        config_path = out_dir / "config.json"
-        written.append(config_path)
+        targets = [s.y for s in test_samples]
+        report = {}
+        for m, method in enumerate(METHODS):
+            doc = evaluate(
+                [answer[m][0] for answer in per_sample], targets, config.confidence,
+                cwc_mu=config.cwc_mu, cwc_eta=config.cwc_eta,
+            ).to_dict()
+            report[method] = {k: doc[k] for k in _REPORT_KEYS}
+
+        header = [f"x_{j}" for j in range(len(test_samples[0].x))] + ["y"]
+        header += [f"{method}_{end}" for method in METHODS for end in ("lower", "point", "upper")]
+        csv_rows = (
+            list(s.x) + [repr(s.y)]
+            + [repr(v) for iv, point in answer for v in (iv.lower, point, iv.upper)]
+            for s, answer in zip(test_samples, per_sample)
+        )
         echo = asdict(config)
         echo["resolved_family"] = family.value
         echo["dropped_groups"] = ["".join(map(str, x)) for x in dropped]
-        config_path.write_text(json.dumps(echo, indent=2, sort_keys=True) + "\n")
+        texts = {
+            "report.json": json.dumps(report, indent=2, sort_keys=True) + "\n",
+            "intervals.csv": _csv_text(header, csv_rows),
+            "config.json": json.dumps(echo, indent=2, sort_keys=True) + "\n",
+        }
+        for name, text in texts.items():
+            path = out_dir / name
+            written.append(path)
+            path.write_text(text, newline="")
         return report
     except Exception:
         for path in written:
@@ -242,37 +249,22 @@ def run_suite(configs, output_dir) -> tuple[list[dict], int]:
         label = config.dataset if config.dataset in _DATASET_NOISE else f"csv{i}"
         config = replace(config, output_dir=str(out_dir / f"experiment_{i}_{label}"))
         try:
-            report = run_experiment(config)
-            for method in ("dapien", "bootstrap"):
-                rows.append(
-                    {
-                        "dataset": label,
-                        "method": method,
-                        "picp": report[method]["picp"],
-                        "mpiw": report[method]["mpiw"],
-                        "status": "ok",
-                    }
-                )
+            report, outcome = run_experiment(config), "ok"
         except Exception as exc:
             log.error("experiment %d (%s) failed: %s", i, label, exc)
             status = EXIT_RUNTIME
-            for method in ("dapien", "bootstrap"):
-                rows.append(
-                    {
-                        "dataset": label,
-                        "method": method,
-                        "picp": math.nan,
-                        "mpiw": math.nan,
-                        "status": "FAILED",
-                    }
-                )
+            failed = {"picp": math.nan, "mpiw": math.nan}
+            report, outcome = dict.fromkeys(METHODS, failed), "FAILED"
+        rows += [
+            {"dataset": label, "method": method, "picp": report[method]["picp"],
+             "mpiw": report[method]["mpiw"], "status": outcome}
+            for method in METHODS
+        ]
 
-    csv_path = out_dir / "summary.csv"
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["dataset", "method", "picp", "mpiw", "status"])
-        writer.writeheader()
-        writer.writerows(rows)
-
+    (out_dir / "summary.csv").write_text(
+        _csv_text(_SUMMARY_FIELDS, ([r[k] for k in _SUMMARY_FIELDS] for r in rows)),
+        newline="",
+    )
     md_lines = ["| dataset | method | PICP | MPIW | status |", "| --- | --- | --- | --- | --- |"]
     for r in rows:
         picp_s = "-" if math.isnan(r["picp"]) else f"{100 * r['picp']:.1f}%"

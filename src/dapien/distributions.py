@@ -377,7 +377,7 @@ def _rate_from_mean(a, n, mean):
     return rate
 
 
-def fit_gamma(ys, bias_correct: bool = True) -> GammaParams:
+def fit_gamma(ys) -> GammaParams:
     """Fit shape, rate and location to a target group by maximum likelihood.
 
     The location is anchored below the sample minimum with the offset
@@ -435,9 +435,8 @@ def fit_gamma(ys, bias_correct: bool = True) -> GammaParams:
         if refined is not None:
             loc, shape, rate = refined
 
-    if bias_correct:
-        shape = _shape_bias_correction(shape, n)
-        rate = _rate_from_mean(shape, n, mean - loc)
+    shape = _shape_bias_correction(shape, n)
+    rate = _rate_from_mean(shape, n, mean - loc)
 
     if not (shape > 0.0 and rate > 0.0 and math.isfinite(shape) and math.isfinite(rate)):
         raise NonConvergence("gamma fit produced invalid parameters")

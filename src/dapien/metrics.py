@@ -9,7 +9,6 @@ that switches on only when coverage falls below the acceptance threshold
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -42,9 +41,6 @@ class EvaluationReport:
             "cwc_mu": self.cwc_mu,
             "cwc_eta": self.cwc_eta,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def _bounds(intervals):

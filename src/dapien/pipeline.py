@@ -98,9 +98,6 @@ class PredictionInterval:
     def width(self) -> float:
         return self.upper - self.lower
 
-    def contains(self, y: float) -> bool:
-        return self.lower <= y <= self.upper
-
 
 @dataclass(frozen=True)
 class DapienModel(ModelDocument):

@@ -186,6 +186,18 @@ class TestCommandLine:
             {"test_fraction": 1.5},
             {"dataset": "B", "d": 0},
             {"dataset": "C", "replicates": 0},
+            # wrong types: float counts and seeds, a bool, string rates, a number
+            {"dataset": "B", "folds": 2.5},
+            {"dataset": "B", "folds": True},
+            {"dataset": "A", "d": 4.0},
+            {"dataset": "A", "replicates": 6.0},
+            {"dataset": "A", "bootstrap_b": 3.0},
+            {"dataset": "A", "max_iterations": 100.0},
+            {"dataset": "A", "data_seed": 1.5},
+            {"dataset": "A", "cwc_eta": "50"},
+            {"dataset": "A", "cwc_mu": "0.9"},
+            {"dataset": "A", "train_seed": 3.5},
+            {"dataset": 5},
         ],
     )
     def test_out_of_range_values_are_config_errors(self, tmp_path, doc):
