@@ -76,8 +76,7 @@ class BootstrapModel(ModelDocument):
 def bootstrap_fit(samples, b: int, config: TrainConfig) -> BootstrapModel:
     """Train the B-member ensemble and the residual-error regressor.
 
-    Raises ``EmptyDataset`` or ``RaggedFeatures`` as
-    ``group_by_unique_input`` does.
+    Checks the samples and raises as ``index_by_unique_input`` does.
     """
     if b < 2:
         raise ValueError(f"b must be >= 2, got {b}")

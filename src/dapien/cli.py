@@ -26,7 +26,7 @@ import numpy as np
 from .bootstrap import bootstrap_fit, bootstrap_predict_interval, bootstrap_predict_sigma
 from .distributions import DistFamily
 from .errors import DapienError
-from .grouping import group_by_unique_input
+from .grouping import group_by_unique_input, index_by_unique_input
 from .metrics import evaluate
 from .pipeline import dapien_fit, dapien_predict_interval, dapien_predict_point
 from .regressor import TrainConfig, child_seed
@@ -93,6 +93,8 @@ class ExperimentConfig:
             raise ValueError(f"confidence must lie in (0, 1), got {self.confidence}")
         if self.bootstrap_b < 2:
             raise ValueError("bootstrap_b must be >= 2")
+        if min(self.data_seed, self.split_seed, self.train_seed) < 0:
+            raise ValueError("data_seed, split_seed and train_seed must be >= 0")
         if self.family is not None:
             DistFamily(self.family)
         # the specs check their own fields, so a bad value is a config error
@@ -177,7 +179,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
     outputs are removed and the error re-raised.
     """
     out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     try:
         family = config.resolved_family()
@@ -189,18 +190,16 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
         # test groups share intervals, so predict once per unique input:
         # one (interval, point) pair per method, in METHODS order
-        answers: dict[tuple[int, ...], tuple] = {}
-        for s in test_samples:
-            if s.x not in answers:
-                answers[s.x] = (
-                    (dapien_predict_interval(model, s.x, config.confidence),
-                     dapien_predict_point(model, s.x)),
-                    (bootstrap_predict_interval(boot, s.x, config.confidence),
-                     bootstrap_predict_sigma(boot, s.x)[0]),
-                )
-        per_sample = [answers[s.x] for s in test_samples]
+        inputs, index, targets = index_by_unique_input(test_samples)
+        answers = [
+            ((dapien_predict_interval(model, x, config.confidence),
+              dapien_predict_point(model, x)),
+             (bootstrap_predict_interval(boot, x, config.confidence),
+              bootstrap_predict_sigma(boot, x)[0]))
+            for x in inputs
+        ]
+        per_sample = [answers[i] for i in index.tolist()]
 
-        targets = [s.y for s in test_samples]
         report = {}
         for m, method in enumerate(METHODS):
             doc = evaluate(
@@ -209,12 +208,12 @@ def run_experiment(config: ExperimentConfig) -> dict:
             ).to_dict()
             report[method] = {k: doc[k] for k in _REPORT_KEYS}
 
-        header = [f"x_{j}" for j in range(len(test_samples[0].x))] + ["y"]
+        header = [f"x_{j}" for j in range(len(inputs[0]))] + ["y"]
         header += [f"{method}_{end}" for method in METHODS for end in ("lower", "point", "upper")]
         csv_rows = (
-            list(s.x) + [repr(s.y)]
-            + [repr(v) for iv, point in answer for v in (iv.lower, point, iv.upper)]
-            for s, answer in zip(test_samples, per_sample)
+            [*inputs[i], repr(y)]
+            + [repr(v) for iv, point in answers[i] for v in (iv.lower, point, iv.upper)]
+            for i, y in zip(index.tolist(), targets.tolist())
         )
         echo = asdict(config)
         echo["resolved_family"] = family.value
@@ -224,6 +223,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
             "intervals.csv": _csv_text(header, csv_rows),
             "config.json": json.dumps(echo, indent=2, sort_keys=True) + "\n",
         }
+        out_dir.mkdir(parents=True, exist_ok=True)
         for name, text in texts.items():
             path = out_dir / name
             written.append(path)

@@ -4,13 +4,15 @@ Records with identical bit vectors are collected into one group each; the
 per-group target vectors are then summarised into distribution parameters,
 producing the derived training set that the parameter regressors consume.
 Group identity is exact bit equality and group order is first appearance,
-so downstream training is deterministic.
+so downstream training is deterministic.  A ``Sample`` is not checked
+when it is built: every function that takes a record list checks it
+through ``index_by_unique_input`` (bits 0 or 1, finite targets).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,21 +20,11 @@ from .distributions import DistFamily, fit_gamma, fit_gaussian
 from .errors import DapienError, EmptyDataset, RaggedFeatures
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(NamedTuple):
     """One record: a binary feature vector and a real-valued target."""
 
     x: tuple[int, ...]
     y: float
-
-    def __post_init__(self):
-        bits = tuple(int(b) for b in self.x)
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError(f"feature vector must be binary, got {self.x}")
-        object.__setattr__(self, "x", bits)
-        if not math.isfinite(self.y):
-            raise ValueError(f"target must be finite, got {self.y}")
-        object.__setattr__(self, "y", float(self.y))
 
 
 @dataclass(frozen=True)
@@ -58,10 +50,11 @@ class DistDataset:
 
 
 def index_by_unique_input(samples):
-    """Distinct input vectors, each sample's index into them, and the targets.
+    """Check records; return distinct inputs, each record's index into them, targets.
 
-    Inputs are numbered in order of first appearance; the index and the
-    target array follow the sample order.
+    Inputs are numbered in order of first appearance and returned as tuples
+    of ints; the index and the float64 targets follow the record order.
+    Each distinct input is checked once, the targets together.
 
     Raises
     ------
@@ -69,21 +62,24 @@ def index_by_unique_input(samples):
         If no samples are given.
     RaggedFeatures
         If feature vectors differ in length.
+    ValueError
+        If a bit is not 0 or 1, or a target is not finite.
     """
     samples = list(samples)
     if not samples:
         raise EmptyDataset("no samples to group")
+    numbers: dict[tuple, int] = {}
+    index = np.array([numbers.setdefault(s.x, len(numbers)) for s in samples], dtype=np.intp)
     d = len(samples[0].x)
-    numbers: dict[tuple[int, ...], int] = {}
-    index = []
-    for s in samples:
-        if len(s.x) != d:
-            raise RaggedFeatures(
-                f"feature length {len(s.x)} differs from first sample's {d}"
-            )
-        index.append(numbers.setdefault(s.x, len(numbers)))
+    for x in numbers:
+        if len(x) != d:
+            raise RaggedFeatures(f"feature length {len(x)} differs from first sample's {d}")
+        if any(b not in (0, 1) for b in x):
+            raise ValueError(f"feature vector must be binary, got {x}")
     targets = np.array([s.y for s in samples], dtype=np.float64)
-    return tuple(numbers), np.array(index, dtype=np.intp), targets
+    if not np.isfinite(targets).all():
+        raise ValueError(f"target must be finite, got {targets[~np.isfinite(targets)][0]}")
+    return tuple(tuple(map(int, x)) for x in numbers), index, targets
 
 
 def group_by_unique_input(samples) -> GroupedDataset:

@@ -15,7 +15,9 @@ seed 42 the first five uniform draws of that generator are
 test pins this sequence.  Input vectors are enumerated in ascending
 integer order with bit j of the counter stored at feature j, and the
 replicates of one vector are drawn consecutively, so a (seed, spec) pair
-identifies the dataset bit for bit.
+identifies the dataset bit for bit; one draw call per dataset keeps
+that order.  ``group_split``, ``write_csv`` and ``read_csv`` check their
+records through ``grouping.index_by_unique_input``.
 """
 
 from __future__ import annotations
@@ -24,12 +26,13 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
 
 from .errors import RaggedFeatures, TooFewGroups
-from .grouping import Sample
+from .grouping import Sample, index_by_unique_input
 
 
 class NoiseKind(Enum):
@@ -70,22 +73,19 @@ def generate(spec: GeneratorSpec) -> list[Sample]:
     """Emit ``2**d * replicates`` samples, deterministic per seed."""
     rng = np.random.default_rng(spec.seed)
     reps = spec.replicates
-    samples = []
-    for code in range(2 ** spec.d):
-        bits = tuple((code >> j) & 1 for j in range(spec.d))
-        f = float(sum(bits))
-        if spec.noise is NoiseKind.CONDITIONAL_WHITE:
-            if int(f) % 2 == 0:
-                ys = np.zeros(reps) + f
-            else:
-                ys = f + rng.normal(0.0, 0.2, size=reps)
-        elif spec.noise is NoiseKind.SCALED_WHITE:
-            ys = f + f * rng.normal(0.0, 0.1, size=reps)
-        else:
-            ys = f + f * rng.gamma(shape=1.0, scale=1.0, size=reps)
-        for y in ys:
-            samples.append(Sample(x=bits, y=float(y)))
-    return samples
+    bits = (np.arange(2 ** spec.d)[:, None] >> np.arange(spec.d)) & 1
+    f = np.repeat(bits.sum(axis=1).astype(np.float64), reps)
+    # one call per dataset draws what one call per input vector drew, in order
+    if spec.noise is NoiseKind.CONDITIONAL_WHITE:
+        ys = f.copy()
+        odd = f % 2 == 1
+        ys[odd] += rng.normal(0.0, 0.2, size=int(odd.sum()))
+    elif spec.noise is NoiseKind.SCALED_WHITE:
+        ys = f + f * rng.normal(0.0, 0.1, size=f.size)
+    else:
+        ys = f + f * rng.gamma(shape=1.0, scale=1.0, size=f.size)
+    inputs = list(map(tuple, bits.tolist()))
+    return [Sample(inputs[i // reps], y) for i, y in enumerate(ys.tolist())]
 
 
 def group_split(samples, spec: SplitSpec) -> tuple[list[Sample], list[Sample]]:
@@ -101,42 +101,43 @@ def group_split(samples, spec: SplitSpec) -> tuple[list[Sample], list[Sample]]:
         If fewer than 2 distinct input vectors are present.
     """
     samples = list(samples)
-    seen: dict[tuple[int, ...], None] = {}
-    for s in samples:
-        seen.setdefault(s.x, None)
-    keys = list(seen)
-    if len(keys) < 2:
-        raise TooFewGroups(f"need at least 2 distinct inputs, got {len(keys)}")
-    rng = np.random.default_rng(spec.seed)
-    order = rng.permutation(len(keys))
+    inputs, index, _ = index_by_unique_input(samples) if samples else ((), None, None)
+    p = len(inputs)
+    if p < 2:
+        raise TooFewGroups(f"need at least 2 distinct inputs, got {p}")
+    order = np.random.default_rng(spec.seed).permutation(p)
     # both sides keep at least one group
-    n_test = min(math.ceil(spec.test_fraction * len(keys)), len(keys) - 1)
-    test_keys = {keys[i] for i in order[:n_test]}
-    train = [s for s in samples if s.x not in test_keys]
-    test = [s for s in samples if s.x in test_keys]
-    return train, test
+    n_test = min(math.ceil(spec.test_fraction * p), p - 1)
+    is_test = np.zeros(p, dtype=bool)
+    is_test[order[:n_test]] = True
+    on_test = is_test[index]
+    train = list(compress(samples, (~on_test).tolist()))
+    return train, list(compress(samples, on_test.tolist()))
 
 
 def write_csv(samples, path) -> None:
-    """Write samples as ``x_0..x_{d-1}, y`` with full float precision."""
-    samples = list(samples)
-    d = len(samples[0].x) if samples else 0
+    """Check samples, then write them as ``x_0..x_{d-1}, y`` with full float precision."""
+    inputs, index, targets = index_by_unique_input(samples)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"x_{j}" for j in range(d)] + ["y"])
-        for s in samples:
-            writer.writerow(list(s.x) + [repr(s.y)])
+        writer.writerow([f"x_{j}" for j in range(len(inputs[0]))] + ["y"])
+        writer.writerows(
+            (*inputs[i], repr(y)) for i, y in zip(index.tolist(), targets.tolist())
+        )
 
 
 def read_csv(path) -> list[Sample]:
-    """Read a dataset written by :func:`write_csv`.
+    """Read and check a dataset written by :func:`write_csv`.
 
     Raises
     ------
     RaggedFeatures
         If any row's length disagrees with the header.
+    EmptyDataset
+        If the file holds no records.
     ValueError
-        On a missing/invalid header or unparsable cell.
+        On a missing/invalid header, an unparsable cell, a non-binary bit
+        or a non-finite target.
     """
     path = Path(path)
     with open(path, newline="") as fh:
@@ -156,6 +157,6 @@ def read_csv(path) -> list[Sample]:
                 raise RaggedFeatures(
                     f"{path}: row {i} has {len(row)} cells, expected {d + 1}"
                 )
-            bits = tuple(int(c) for c in row[:d])
-            samples.append(Sample(x=bits, y=float(row[d])))
+            samples.append(Sample(tuple(map(int, row[:d])), float(row[d])))
+    index_by_unique_input(samples)
     return samples

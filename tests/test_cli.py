@@ -96,7 +96,7 @@ def test_invalid_csv_leaves_no_outputs(tmp_path):
     config = small_config(str(bad), out)
     with pytest.raises(Exception):
         run_experiment(config)
-    assert not (out / "report.json").exists()
+    assert not out.exists()
 
 
 def test_unknown_config_key_rejected():
@@ -198,6 +198,10 @@ class TestCommandLine:
             {"dataset": "A", "cwc_mu": "0.9"},
             {"dataset": "A", "train_seed": 3.5},
             {"dataset": 5},
+            # negative seeds: numpy's seeding rejects them mid-run
+            {"dataset": "A", "d": 4, "data_seed": -1},
+            {"dataset": "A", "d": 4, "split_seed": -1},
+            {"dataset": "A", "d": 4, "train_seed": -1},
         ],
     )
     def test_out_of_range_values_are_config_errors(self, tmp_path, doc):

@@ -1,8 +1,11 @@
 """Grouping of records by unique input and the derived parameter dataset."""
 
+import math
+
 import numpy as np
 import pytest
 
+from dapien.bootstrap import bootstrap_fit
 from dapien.distributions import DistFamily
 from dapien.errors import DegenerateGroup, EmptyDataset, RaggedFeatures
 from dapien.grouping import (
@@ -11,7 +14,17 @@ from dapien.grouping import (
     group_by_unique_input,
     mean_group_size,
 )
-from dapien.synthdata import GeneratorSpec, NoiseKind, SplitSpec, generate, group_split
+from dapien.pipeline import dapien_fit
+from dapien.regressor import TrainConfig
+from dapien.synthdata import (
+    GeneratorSpec,
+    NoiseKind,
+    SplitSpec,
+    generate,
+    group_split,
+    read_csv,
+    write_csv,
+)
 
 
 def test_direct_grouping():
@@ -129,3 +142,61 @@ def test_mean_group_size_dataset_a_training_split():
     train, _ = group_split(samples, SplitSpec(test_fraction=0.2, seed=12))
     grouped = group_by_unique_input(train)
     assert mean_group_size(grouped) == 20.0
+
+
+VALID_RECORDS = [Sample((0, 1), 1.5), Sample((1, 1), 2.0), Sample((0, 1), -0.25)]
+
+
+def _read_back(records, tmp_path):
+    """The records as CSV text, then through ``read_csv``."""
+    path = tmp_path / "records.csv"
+    lines = ["x_0,x_1,y"] + [",".join(map(str, s.x)) + f",{s.y!r}" for s in records]
+    path.write_text("\n".join(lines) + "\n")
+    return read_csv(path)
+
+
+CONSUMERS = {
+    "read_csv": _read_back,
+    "write_csv": lambda records, tmp_path: write_csv(records, tmp_path / "out.csv"),
+    "group_split": lambda records, _: group_split(records, SplitSpec(test_fraction=0.5)),
+    "group_by_unique_input": lambda records, _: group_by_unique_input(records),
+    "bootstrap_fit": lambda records, _: bootstrap_fit(records, 2, TrainConfig(seed=0)),
+    "dapien_fit": lambda records, _: dapien_fit(
+        records, DistFamily.GAUSSIAN, TrainConfig(seed=0)
+    ),
+}
+
+
+@pytest.mark.parametrize("consumer", sorted(CONSUMERS))
+@pytest.mark.parametrize(
+    "bad",
+    [
+        Sample((0, 2), 1.0),
+        Sample((0, -1), 1.0),
+        Sample((0, 0.5), 1.0),
+        Sample((1, 0), math.nan),
+        Sample((1, 0), math.inf),
+    ],
+    ids=["bit 2", "bit -1", "bit 0.5", "target nan", "target inf"],
+)
+def test_every_consumer_rejects_an_invalid_record(tmp_path, consumer, bad):
+    with pytest.raises(ValueError):
+        CONSUMERS[consumer](VALID_RECORDS + [bad], tmp_path)
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "bit, target",
+    [(np.int64, float), (np.uint8, float), (bool, float), (float, float), (int, np.float64)],
+    ids=["numpy int64", "numpy uint8", "bool", "float bit", "numpy float64 target"],
+)
+def test_numeric_kinds_are_read_as_ints_and_floats(tmp_path, bit, target):
+    other = [Sample(tuple(map(bit, s.x)), target(s.y)) for s in VALID_RECORDS]
+    write_csv(VALID_RECORDS, tmp_path / "plain.csv")
+    write_csv(other, tmp_path / "other.csv")
+    assert (tmp_path / "other.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+    grouped = group_by_unique_input(other)
+    keys = [x for x, _ in grouped.groups]
+    assert keys == [(0, 1), (1, 1)]
+    assert all(type(b) is int for x in keys for b in x)
+    assert all(ys.dtype == np.float64 for _, ys in grouped.groups)

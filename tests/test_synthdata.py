@@ -1,5 +1,7 @@
 """Benchmark generators, split protocol and CSV round trips."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,27 @@ def test_generate_deterministic():
     a = generate(spec)
     b = generate(spec)
     assert a == b
+
+
+# sha256 of every target's float64 bytes at d=6, replicates=5, seed=7, as
+# drawn by one PCG64 stream in the documented order
+GOLDEN_TARGET_DIGESTS = {
+    NoiseKind.CONDITIONAL_WHITE: "5535100935af2999a2e3c89c90f7cd40945a5589985abe3b7c2a275ec0a898e3",
+    NoiseKind.SCALED_WHITE: "2fc932aa37aac7101ecd3f7145b3a4a08b873a414f66e7ea77e175fed2b7e46a",
+    NoiseKind.SCALED_GAMMA: "7cb57fc9d6aedbfc7762c63fa8ca6d715402b6d16ea227562eaf22a92928418c",
+}
+
+
+@pytest.mark.parametrize("noise", list(NoiseKind))
+def test_generate_golden_bits(noise):
+    samples = generate(GeneratorSpec(noise=noise, d=6, replicates=5, seed=7))
+    ys = np.array([s.y for s in samples])
+    assert hashlib.sha256(ys.tobytes()).hexdigest() == GOLDEN_TARGET_DIGESTS[noise]
+    # ascending counter, bit j at feature j, replicates consecutive
+    expected = [tuple((code >> j) & 1 for j in range(6)) for code in range(64) for _ in range(5)]
+    assert [s.x for s in samples] == expected
+    assert all(type(b) is int for s in samples for b in s.x)
+    assert all(type(s.y) is float for s in samples)
 
 
 def test_split_counts_dataset_a():

@@ -36,6 +36,18 @@ def load_run_module():
     return module
 
 
+def test_the_benchmark_workloads_run_on_the_data_api(tmp_path, monkeypatch):
+    """perfbench's ingest pass and query models run and pass their own checks."""
+    run = load_run_module()
+    monkeypatch.setattr(run, "OUT", tmp_path)
+    monkeypatch.setattr(run, "INGEST_D", 4)
+    (tmp_path / "tmp").mkdir()
+    _, records = run.Ingest(dapien, 0).op()
+    assert records == 2 * 2**4 * run.INGEST_REPLICATES
+    models = run.Query(dapien, 0).fit_models()
+    assert len(models) == 4
+
+
 def test_every_traced_attribute_resolves():
     plan = load_run_module().trace_plan(dapien)
     assert plan
