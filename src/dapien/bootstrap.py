@@ -5,9 +5,9 @@ squares fit to a with-replacement resample of the training records; the
 spread of their predictions measures model error.  Phase two trains an
 exponential-output regressor on the squared residuals left after
 subtracting the ensemble variance, measuring target noise.  At prediction
-time both phases are evaluated by ``regressor.predict``, the two error
-estimates are added and the sum is used as the sigma of a symmetric
-Student-t interval with B degrees of freedom.
+time both phases are evaluated by ``regressor.predict``, for one input or
+a matrix's rows at once; the two error estimates are added and the sum is
+the sigma of a symmetric Student-t interval with B degrees of freedom.
 
 The training records are grouped by input once.  Every fit gets the
 distinct inputs plus a row index per record (``train(..., rows=...)``),
@@ -105,25 +105,22 @@ def bootstrap_fit(samples, b: int, config: TrainConfig) -> BootstrapModel:
     return BootstrapModel(members=tuple(members), noise_model=noise_model, b=b)
 
 
-def bootstrap_predict_sigma(model: BootstrapModel, x) -> tuple[float, float]:
+def bootstrap_predict_sigma(model: BootstrapModel, x):
     """Ensemble mean and the combined two-phase error estimate at x.
 
-    Raises ``InvalidPrediction`` where a member or the noise model
-    overflows.
+    Scalars for an input vector, arrays for a matrix's rows.  Raises
+    ``InvalidPrediction`` where a member or the noise model overflows.
     """
     x = np.asarray(x, dtype=np.float64)  # once, not per member
     preds = np.array([predict(m, x) for m in model.members])
-    mu = float(preds.mean())
-    var = float(preds.var(ddof=1))
-    noise = predict(model.noise_model, x)
     # the two phase errors are added directly, per the baseline's recipe
-    return mu, var + noise
+    return preds.mean(axis=0), preds.var(axis=0, ddof=1) + predict(model.noise_model, x)
 
 
 def bootstrap_predict_interval(
     model: BootstrapModel, x, confidence: float
 ) -> PredictionInterval:
-    """Symmetric t interval around the ensemble mean."""
+    """Symmetric t interval around the ensemble mean; scalars or arrays as for the sigma."""
     if not (0.0 < confidence < 1.0):
         raise DomainError(f"confidence must lie in (0, 1), got {confidence}")
     mu, sigma = bootstrap_predict_sigma(model, x)

@@ -188,32 +188,31 @@ def run_experiment(config: ExperimentConfig) -> dict:
         model = dapien_fit(fit_samples, family, config.train_config(0))
         boot = bootstrap_fit(train_samples, config.bootstrap_b, config.train_config(1))
 
-        # test groups share intervals, so predict once per unique input:
-        # one (interval, point) pair per method, in METHODS order
+        # test groups share intervals, so each method predicts every distinct
+        # input in one call; per method, (lower, point, upper) in METHODS order
         inputs, index, targets = index_by_unique_input(test_samples)
-        answers = [
-            ((dapien_predict_interval(model, x, config.confidence),
-              dapien_predict_point(model, x)),
-             (bootstrap_predict_interval(boot, x, config.confidence),
-              bootstrap_predict_sigma(boot, x)[0]))
-            for x in inputs
-        ]
-        per_sample = [answers[i] for i in index.tolist()]
+        U = np.asarray(inputs, dtype=np.float64)
+        dapien_iv = dapien_predict_interval(model, U, config.confidence)
+        boot_iv = bootstrap_predict_interval(boot, U, config.confidence)
+        answers = (
+            (dapien_iv.lower, dapien_predict_point(model, U), dapien_iv.upper),
+            (boot_iv.lower, bootstrap_predict_sigma(boot, U)[0], boot_iv.upper),
+        )
 
         report = {}
-        for m, method in enumerate(METHODS):
+        for method, (lower, _, upper) in zip(METHODS, answers):
             doc = evaluate(
-                [answer[m][0] for answer in per_sample], targets, config.confidence,
+                lower[index], upper[index], targets, config.confidence,
                 cwc_mu=config.cwc_mu, cwc_eta=config.cwc_eta,
             ).to_dict()
             report[method] = {k: doc[k] for k in _REPORT_KEYS}
 
         header = [f"x_{j}" for j in range(len(inputs[0]))] + ["y"]
         header += [f"{method}_{end}" for method in METHODS for end in ("lower", "point", "upper")]
+        per_sample = np.column_stack([v for answer in answers for v in answer])[index]
         csv_rows = (
-            [*inputs[i], repr(y)]
-            + [repr(v) for iv, point in answers[i] for v in (iv.lower, point, iv.upper)]
-            for i, y in zip(index.tolist(), targets.tolist())
+            [*inputs[i], repr(y)] + [repr(v) for v in row]
+            for i, y, row in zip(index.tolist(), targets.tolist(), per_sample.tolist())
         )
         echo = asdict(config)
         echo["resolved_family"] = family.value

@@ -33,34 +33,43 @@ class DistFamily(Enum):
     GAMMA = "gamma"
 
 
+def _everywhere(condition) -> bool:
+    """Whether a check on scalars holds, or one on arrays at every element.
+
+    Checks use operators (``abs(v) < inf`` tests finiteness), which keep a
+    float's check in plain Python, several times faster than NumPy.
+    """
+    return bool(condition.all()) if isinstance(condition, np.ndarray) else bool(condition)
+
+
 @dataclass(frozen=True)
 class GaussianParams:
-    """Mean and variance of a Gaussian target distribution."""
+    """Mean and variance of a Gaussian target distribution (floats or arrays)."""
 
     mean: float
     variance: float
 
     def __post_init__(self):
-        if not math.isfinite(self.mean):
+        if not _everywhere(abs(self.mean) < math.inf):
             raise ValueError("mean must be finite")
-        if not (math.isfinite(self.variance) and self.variance >= 0.0):
+        if not _everywhere((self.variance >= 0.0) & (self.variance < math.inf)):
             raise ValueError("variance must be finite and >= 0")
 
 
 @dataclass(frozen=True)
 class GammaParams:
-    """Shape / rate / location of a three-parameter gamma distribution."""
+    """Shape / rate / location of a 3-parameter gamma distribution (floats or arrays)."""
 
     shape: float
     rate: float
     location: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.shape) and self.shape > 0.0):
+        if not _everywhere((self.shape > 0.0) & (self.shape < math.inf)):
             raise ValueError("shape must be finite and > 0")
-        if not (math.isfinite(self.rate) and self.rate > 0.0):
+        if not _everywhere((self.rate > 0.0) & (self.rate < math.inf)):
             raise ValueError("rate must be finite and > 0")
-        if not math.isfinite(self.location):
+        if not _everywhere(abs(self.location) < math.inf):
             raise ValueError("location must be finite")
 
 
@@ -210,11 +219,11 @@ def fit_gaussian(ys) -> GaussianParams:
     return GaussianParams(mean=mean, variance=float(ys.var(ddof=1)))
 
 
-def gaussian_interval(params: GaussianParams, c: float) -> tuple[float, float]:
-    """Symmetric interval ``mean +/- c * sqrt(variance)`` for c >= 0."""
+def gaussian_interval(params: GaussianParams, c: float):
+    """Symmetric interval ``mean +/- c * sqrt(variance)`` for c >= 0, elementwise."""
     if not (math.isfinite(c) and c >= 0.0):
         raise DomainError(f"critical value must be finite and >= 0, got {c}")
-    half = c * math.sqrt(params.variance)
+    half = c * np.sqrt(params.variance)
     return params.mean - half, params.mean + half
 
 
@@ -309,13 +318,17 @@ def gamma_inverse_cdf(p: float, params: GammaParams) -> float:
     return params.location + math.exp(mid)
 
 
-def gamma_interval(params: GammaParams, confidence: float) -> tuple[float, float]:
-    """Equal-tailed gamma interval at the requested confidence level."""
+def gamma_interval(params: GammaParams, confidence: float):
+    """Equal-tailed gamma interval at the requested confidence, elementwise."""
     if not (0.0 < confidence < 1.0):
         raise DomainError(f"confidence must lie in (0, 1), got {confidence}")
-    lower = gamma_inverse_cdf(0.5 * (1.0 - confidence), params)
-    upper = gamma_inverse_cdf(0.5 * (1.0 + confidence), params)
-    return lower, upper
+    # each element is inverted on Python floats, 2-3x faster than NumPy scalars
+    fields = np.array([params.shape, params.rate, params.location])
+    rows = [GammaParams(*row) for row in fields.reshape(3, -1).T.tolist()]
+    return tuple(
+        np.array([gamma_inverse_cdf(p, row) for row in rows]).reshape(fields.shape[1:])[()]
+        for p in (0.5 * (1.0 - confidence), 0.5 * (1.0 + confidence))
+    )
 
 
 def _gamma_loglik(z_sum, logz_sum, n, shape, rate):

@@ -43,42 +43,36 @@ class EvaluationReport:
         }
 
 
-def _bounds(intervals):
-    lower = np.array([iv.lower for iv in intervals], dtype=np.float64)
-    upper = np.array([iv.upper for iv in intervals], dtype=np.float64)
-    return lower, upper
+def _arrays(*columns):
+    """The columns as float64 arrays of one common, non-empty length."""
+    arrays = [np.asarray(c, dtype=np.float64) for c in columns]
+    if len({a.shape for a in arrays}) > 1:
+        raise LengthMismatch("lengths differ: " + " vs ".join(str(a.size) for a in arrays))
+    if arrays[0].size == 0:
+        raise EmptyInput("need at least one interval")
+    return arrays
 
 
-def picp(intervals, targets) -> float:
+def picp(lower, upper, targets) -> float:
     """Fraction of targets inside their (closed) intervals."""
-    intervals = list(intervals)
-    targets = np.asarray(targets, dtype=np.float64)
-    if len(intervals) != targets.size:
-        raise LengthMismatch(
-            f"{len(intervals)} intervals vs {targets.size} targets"
-        )
-    if not intervals:
-        raise EmptyInput("picp needs at least one interval")
-    lower, upper = _bounds(intervals)
+    lower, upper, targets = _arrays(lower, upper, targets)
     return float(np.mean((targets >= lower) & (targets <= upper)))
 
 
-def mpiw(intervals) -> float:
+def mpiw(lower, upper) -> float:
     """Mean interval width."""
-    intervals = list(intervals)
-    if not intervals:
-        raise EmptyInput("mpiw needs at least one interval")
-    lower, upper = _bounds(intervals)
+    lower, upper = _arrays(lower, upper)
     return float(np.mean(upper - lower))
 
 
-def nmpiw(intervals, targets) -> float:
+def nmpiw(lower, upper, targets) -> float:
     """Mean width divided by the target range, for cross-dataset comparison."""
-    targets = np.asarray(targets, dtype=np.float64)
-    span = float(targets.max() - targets.min()) if targets.size else 0.0
+    width = mpiw(lower, upper)
+    (targets,) = _arrays(targets)
+    span = float(targets.max() - targets.min())
     if span <= 0.0:
         raise ZeroRange("all targets are equal; normalised width undefined")
-    return mpiw(intervals) / span
+    return width / span
 
 
 def cwc(picp_value: float, nmpiw_value: float, mu: float, eta: float) -> float:
@@ -88,24 +82,27 @@ def cwc(picp_value: float, nmpiw_value: float, mu: float, eta: float) -> float:
 
 
 def evaluate(
-    intervals,
+    lower,
+    upper,
     targets,
     confidence: float,
     cwc_mu: float | None = None,
     cwc_eta: float = 50.0,
 ) -> EvaluationReport:
-    """All four measures in one report; ``cwc_mu`` defaults to the confidence."""
-    intervals = list(intervals)
+    """All four measures in one report; ``cwc_mu`` defaults to the confidence.
+
+    ``lower[i]`` and ``upper[i]`` bound the interval for ``targets[i]``.
+    """
     mu = confidence if cwc_mu is None else cwc_mu
-    p = picp(intervals, targets)
-    w = mpiw(intervals)
-    nw = nmpiw(intervals, targets)
+    p = picp(lower, upper, targets)
+    w = mpiw(lower, upper)
+    nw = nmpiw(lower, upper, targets)
     return EvaluationReport(
         picp=p,
         mpiw=w,
         nmpiw=nw,
         cwc=cwc(p, nw, mu, cwc_eta),
-        n=len(intervals),
+        n=len(targets),
         confidence=confidence,
         cwc_mu=mu,
         cwc_eta=cwc_eta,

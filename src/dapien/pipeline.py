@@ -3,7 +3,8 @@
 Fitting proceeds in four phases: group training records by unique input,
 fit the chosen noise family to every group, train one regressor per
 distribution parameter on the (input, parameter) pairs, and at prediction
-time plug the regressed parameters into the family's quantile machinery.
+time plug the parameters regressed for one input, or for a matrix's rows,
+into the family's quantile machinery.
 
 For the Gaussian family the two regressors predict the mean (identity
 output) and the noise standard deviation (exponential output, so the
@@ -32,6 +33,7 @@ from .distributions import (
     DistFamily,
     GammaParams,
     GaussianParams,
+    _everywhere,
     gamma_interval,
     gaussian_interval,
     t_quantile,
@@ -82,20 +84,20 @@ class ModelDocument:
 
 @dataclass(frozen=True)
 class PredictionInterval:
-    """A [lower, upper] range asserted to contain the target."""
+    """A [lower, upper] range asserted to contain the target; arrays hold one per input."""
 
     lower: float
     upper: float
     confidence: float
 
     def __post_init__(self):
-        if not (self.lower <= self.upper):
+        if not _everywhere(self.lower <= self.upper):
             raise ValueError(f"lower {self.lower} exceeds upper {self.upper}")
         if not (0.0 < self.confidence < 1.0):
             raise ValueError(f"confidence must lie in (0, 1), got {self.confidence}")
 
     @property
-    def width(self) -> float:
+    def width(self):
         return self.upper - self.lower
 
 
@@ -198,7 +200,7 @@ def _checked_params(family_params, **values):
 
 
 def predict_params(model: DapienModel, x):
-    """Regressed distribution parameters for one input vector.
+    """Regressed parameters for one input vector (floats) or a matrix's rows (arrays).
 
     Raises ``InvalidPrediction`` where a regressed parameter overflows or
     falls outside its family's domain (a rate that underflows to 0, say).
@@ -214,19 +216,18 @@ def predict_params(model: DapienModel, x):
 def dapien_predict_interval(
     model: DapienModel, x, confidence: float
 ) -> PredictionInterval:
-    """Prediction interval for one input at the requested confidence."""
+    """Prediction interval for one input, or per row of a matrix, with one t value."""
     if not (0.0 < confidence < 1.0):
         raise DomainError(f"confidence must lie in (0, 1), got {confidence}")
     params = predict_params(model, x)
     if model.family is DistFamily.GAUSSIAN:
-        c = t_quantile(confidence, model.ndf)
-        lower, upper = gaussian_interval(params, c)
+        lower, upper = gaussian_interval(params, t_quantile(confidence, model.ndf))
     else:
         lower, upper = gamma_interval(params, confidence)
     return PredictionInterval(lower=lower, upper=upper, confidence=confidence)
 
 
-def dapien_predict_point(model: DapienModel, x) -> float:
+def dapien_predict_point(model: DapienModel, x):
     """Centre estimate: predicted mean (Gaussian) or location + shape/rate."""
     params = predict_params(model, x)
     if model.family is DistFamily.GAUSSIAN:

@@ -218,40 +218,32 @@ def child_seed(seed: int, index: int) -> int:
     return int(child.generate_state(1, np.uint64)[0])
 
 
-def _invalid_output(model) -> InvalidPrediction:
-    return InvalidPrediction(
-        f"{model.activation.value} output overflows or is not finite for this input"
-    )
+def predict(model, x):
+    """Model output for one input vector (a float) or each row of a (n, dim) matrix.
+
+    Raises ``DimensionMismatch`` for any other shape, and
+    ``InvalidPrediction`` where an output overflows or is not finite.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (1, 2) or x.shape[-1] != model.dim:
+        raise DimensionMismatch(
+            f"input of shape {x.shape}, not ({model.dim},) or (n, {model.dim})"
+        )
+    z = model.output(x)
+    if x.ndim == 1:
+        z = float(z)  # checked in plain Python, several times faster than NumPy
+    if not (math.isfinite(z) if x.ndim == 1 else np.isfinite(z).all()):
+        raise InvalidPrediction(
+            f"{model.activation.value} output overflows or is not finite for this input"
+        )
+    return z
 
 
 def predict_batch(model, X) -> np.ndarray:
-    """Model output for a (n, dim) matrix of inputs.
-
-    Raises ``InvalidPrediction`` where any row's output overflows or is not
-    finite; ``predict`` is the same for one input vector.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.dim:
-        raise DimensionMismatch(
-            f"input matrix has shape {X.shape}, model expects (*, {model.dim})"
-        )
-    z = model.output(X)
-    if not np.isfinite(z).all():
-        raise _invalid_output(model)
-    return z
-
-
-def predict(model, x) -> float:
-    """Model output for a single input vector, checked as ``predict_batch``."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.dim,):
-        raise DimensionMismatch(
-            f"input has length {x.size}, model expects {model.dim}"
-        )
-    z = float(model.output(x))
-    if not math.isfinite(z):
-        raise _invalid_output(model)
-    return z
+    """``predict`` restricted to a (n, dim) matrix of inputs."""
+    if np.ndim(X) != 2:
+        raise DimensionMismatch(f"input matrix has shape {np.shape(X)}")
+    return predict(model, X)
 
 
 def stratified_folds(ts, k: int, seed) -> np.ndarray:

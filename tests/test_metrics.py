@@ -7,70 +7,69 @@ import pytest
 
 from dapien.errors import EmptyInput, LengthMismatch, ZeroRange
 from dapien.metrics import cwc, evaluate, mpiw, nmpiw, picp
-from dapien.pipeline import PredictionInterval
-
-
-def iv(lower, upper, confidence=0.95):
-    return PredictionInterval(lower=lower, upper=upper, confidence=confidence)
 
 
 class TestPicp:
     def test_full_coverage_with_huge_bounds(self):
-        intervals = [iv(-1e12, 1e12)] * 3
-        assert picp(intervals, [0.0, -5.0, 1e6]) == 1.0
+        lower, upper = [-1e12] * 3, [1e12] * 3
+        assert picp(lower, upper, [0.0, -5.0, 1e6]) == 1.0
 
     def test_half_coverage(self):
-        assert picp([iv(0, 1), iv(0, 1)], [0.5, 2.0]) == 0.5
+        assert picp([0, 0], [1, 1], [0.5, 2.0]) == 0.5
 
     def test_boundary_counts_as_covered(self):
-        assert picp([iv(0, 1)], [1.0]) == 1.0
-        assert picp([iv(0, 1)], [0.0]) == 1.0
+        assert picp([0], [1], [1.0]) == 1.0
+        assert picp([0], [1], [0.0]) == 1.0
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            picp([iv(0, 1)], [0.5, 0.7])
+            picp([0], [1], [0.5, 0.7])
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(0)
         lows = rng.normal(size=50)
         ups = lows + rng.uniform(0.1, 2.0, 50)
         ys = rng.normal(size=50)
-        base = picp([iv(l, u) for l, u in zip(lows, ups)], ys)
-        shifted = picp([iv(l + 3.3, u + 3.3) for l, u in zip(lows, ups)], ys + 3.3)
+        base = picp(lows, ups, ys)
+        shifted = picp(lows + 3.3, ups + 3.3, ys + 3.3)
         assert base == shifted
 
 
 class TestMpiw:
     def test_simple_mean(self):
-        assert mpiw([iv(0, 1), iv(0, 3)]) == 2.0
+        assert mpiw([0, 0], [1, 3]) == 2.0
 
     def test_zero_width(self):
-        assert mpiw([iv(2.0, 2.0)] * 4 ) == 0.0
+        assert mpiw([2.0] * 4, [2.0] * 4) == 0.0
 
     def test_empty(self):
         with pytest.raises(EmptyInput):
-            mpiw([])
+            mpiw([], [])
 
     def test_linear_in_width_scaling(self):
         rng = np.random.default_rng(1)
         centers = rng.normal(size=30)
         widths = rng.uniform(0.5, 2.0, 30)
-        base = mpiw([iv(c - w / 2, c + w / 2) for c, w in zip(centers, widths)])
-        scaled = mpiw([iv(c - w, c + w) for c, w in zip(centers, widths)])
+        base = mpiw(centers - widths / 2, centers + widths / 2)
+        scaled = mpiw(centers - widths, centers + widths)
         assert abs(scaled - 2.0 * base) < 1e-12
 
 
 class TestNmpiw:
     def test_fraction_of_range(self):
-        intervals = [iv(0, 1), iv(0, 3)]  # mpiw 2
-        assert abs(nmpiw(intervals, [0.0, 10.0]) - 0.2) < 1e-12
+        lower, upper = [0, 0], [1, 3]  # mpiw 2
+        assert abs(nmpiw(lower, upper, [0.0, 10.0]) - 0.2) < 1e-12
 
     def test_width_equal_to_range(self):
-        assert abs(nmpiw([iv(0, 4)], [1.0, 5.0]) - 1.0) < 1e-12
+        assert abs(nmpiw([0], [4], [1.0, 5.0]) - 1.0) < 1e-12
 
     def test_zero_range(self):
         with pytest.raises(ZeroRange):
-            nmpiw([iv(0, 1)], [2.0, 2.0])
+            nmpiw([0], [1], [2.0, 2.0])
+
+    def test_empty_is_not_a_zero_range(self):
+        with pytest.raises(EmptyInput):
+            nmpiw([], [], [])
 
 
 class TestCwc:
@@ -94,9 +93,9 @@ class TestCwc:
 
 
 def test_evaluate_report_fields():
-    intervals = [iv(0, 2), iv(1, 3), iv(-1, 0.5)]
+    lower, upper = [0, 1, -1], [2, 3, 0.5]
     targets = [1.0, 4.0, 0.0]
-    report = evaluate(intervals, targets, confidence=0.95)
+    report = evaluate(lower, upper, targets, confidence=0.95)
     assert report.n == 3
     assert abs(report.picp - 2.0 / 3.0) < 1e-12
     assert abs(report.mpiw - (2 + 2 + 1.5) / 3) < 1e-12

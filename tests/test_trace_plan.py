@@ -16,7 +16,6 @@ from pathlib import Path
 import dapien
 import dapien.cli
 from dapien.cli import METHODS, ExperimentConfig
-from dapien.synthdata import generate, group_split
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -76,15 +75,17 @@ def test_the_tracer_sees_every_call_the_runner_makes(tmp_path):
     # the spans whose parent is run_experiment are the calls through dapien.cli
     direct = Counter(tracer.names[name] for name, _, _, parent in tracer.spans if parent == 0)
 
-    _, test_samples = group_split(generate(config.generator_spec()), config.split_spec())
-    distinct_inputs = len({s.x for s in test_samples})
+    # each method predicts every distinct test input in one call
     for name in (
         "pipeline.dapien_predict_interval",
         "pipeline.dapien_predict_point",
         "bootstrap.bootstrap_predict_interval",
         "bootstrap.bootstrap_predict_sigma",
     ):
-        assert direct[name] == distinct_inputs, name
+        assert direct[name] == 1, name
+    # the gamma family needs no t critical value; the bootstrap's one
+    # interval call computes it once
+    assert tracer.calls["distributions.t_quantile"] == 1
     assert direct["metrics.evaluate"] == len(METHODS)
     for name in (
         "pipeline.dapien_fit",
