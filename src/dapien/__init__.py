@@ -27,6 +27,7 @@ from .errors import (
     EmptyGroup,
     EmptyInput,
     InvalidPrediction,
+    InvalidRecord,
     InvalidTarget,
     LengthMismatch,
     NonConvergence,
@@ -38,7 +39,9 @@ from .errors import (
 from .grouping import (
     DistDataset,
     GroupedDataset,
+    Records,
     Sample,
+    as_records,
     build_dist_dataset,
     group_by_unique_input,
     mean_group_size,

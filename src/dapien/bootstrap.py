@@ -27,7 +27,7 @@ import numpy as np
 
 from .distributions import t_quantile
 from .errors import DomainError
-from .grouping import index_by_unique_input
+from .grouping import as_records
 from .pipeline import ModelDocument, PredictionInterval
 from .regressor import (
     Activation,
@@ -76,12 +76,13 @@ class BootstrapModel(ModelDocument):
 def bootstrap_fit(samples, b: int, config: TrainConfig) -> BootstrapModel:
     """Train the B-member ensemble and the residual-error regressor.
 
-    Checks the samples and raises as ``index_by_unique_input`` does.
+    Checks the samples and raises as ``grouping.as_records`` does.
     """
     if b < 2:
         raise ValueError(f"b must be >= 2, got {b}")
-    inputs, index, y = index_by_unique_input(samples)
-    U = np.asarray(inputs, dtype=np.float64)
+    records = as_records(samples)
+    index, y = records.index, records.targets
+    U = np.asarray(records.inputs, dtype=np.float64)
     n = y.size
 
     members = []

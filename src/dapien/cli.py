@@ -26,7 +26,7 @@ import numpy as np
 from .bootstrap import bootstrap_fit, bootstrap_predict_interval, bootstrap_predict_sigma
 from .distributions import DistFamily
 from .errors import DapienError
-from .grouping import group_by_unique_input, index_by_unique_input
+from .grouping import group_by_unique_input
 from .metrics import evaluate
 from .pipeline import dapien_fit, dapien_predict_interval, dapien_predict_point
 from .regressor import TrainConfig, child_seed
@@ -144,23 +144,21 @@ def _load_samples(config: ExperimentConfig):
     return read_csv(config.dataset)
 
 
-def _drop_degenerate_groups(samples, family: DistFamily):
-    """Remove groups a gamma fit cannot use; returns (kept, dropped keys)."""
+def _drop_degenerate_groups(records, family: DistFamily):
+    """Remove groups a gamma fit cannot use; returns (kept, sorted dropped keys)."""
     if family is not DistFamily.GAMMA:
-        return list(samples), []
-    grouped = group_by_unique_input(samples)
-    bad = {
-        x
-        for x, ys in grouped.groups
-        if ys.size < 3 or bool(np.all(ys == ys[0]))
-    }
-    if bad:
+        return records, []
+    # one group per input of ``records``, in the same order
+    grouped = group_by_unique_input(records)
+    bad = np.array([ys.size < 3 or bool(np.all(ys == ys[0])) for _, ys in grouped.groups])
+    dropped = sorted(records.inputs[i] for i in np.flatnonzero(bad))
+    if dropped:
         log.warning(
             "dropping %d group(s) unusable for a gamma fit (e.g. %s)",
-            len(bad),
-            "".join(map(str, sorted(bad)[0])),
+            len(dropped),
+            "".join(map(str, dropped[0])),
         )
-    return [s for s in samples if s.x not in bad], sorted(bad)
+    return records.subset(~bad), dropped
 
 
 def _csv_text(header, rows) -> str:
@@ -182,15 +180,14 @@ def run_experiment(config: ExperimentConfig) -> dict:
     written: list[Path] = []
     try:
         family = config.resolved_family()
-        samples = _load_samples(config)
-        train_samples, test_samples = group_split(samples, config.split_spec())
-        fit_samples, dropped = _drop_degenerate_groups(train_samples, family)
-        model = dapien_fit(fit_samples, family, config.train_config(0))
-        boot = bootstrap_fit(train_samples, config.bootstrap_b, config.train_config(1))
+        train, test = group_split(_load_samples(config), config.split_spec())
+        fit_records, dropped = _drop_degenerate_groups(train, family)
+        model = dapien_fit(fit_records, family, config.train_config(0))
+        boot = bootstrap_fit(train, config.bootstrap_b, config.train_config(1))
 
         # test groups share intervals, so each method predicts every distinct
         # input in one call; per method, (lower, point, upper) in METHODS order
-        inputs, index, targets = index_by_unique_input(test_samples)
+        inputs, index, targets = test.inputs, test.index, test.targets
         U = np.asarray(inputs, dtype=np.float64)
         dapien_iv = dapien_predict_interval(model, U, config.confidence)
         boot_iv = bootstrap_predict_interval(boot, U, config.confidence)
@@ -279,15 +276,12 @@ def _cmd_generate(args) -> int:
     if args.dataset not in _DATASET_NOISE:
         log.error("unknown dataset %r (expected A, B or C)", args.dataset)
         return EXIT_CONFIG
-    spec = GeneratorSpec(
-        noise=_DATASET_NOISE[args.dataset],
-        d=args.d,
-        replicates=args.replicates,
-        seed=args.seed,
+    config = ExperimentConfig(
+        dataset=args.dataset, d=args.d, replicates=args.replicates, data_seed=args.seed
     )
-    samples = generate(spec)
-    write_csv(samples, args.out)
-    print(f"wrote {len(samples)} samples to {args.out}")
+    records = generate(config.generator_spec())
+    write_csv(records, args.out)
+    print(f"wrote {len(records)} samples to {args.out}")
     return EXIT_OK
 
 
@@ -340,9 +334,9 @@ def main(argv=None) -> int:
 
     p_gen = sub.add_parser("generate", help="write a synthetic dataset as CSV")
     p_gen.add_argument("--dataset", required=True, help="A, B or C")
-    p_gen.add_argument("--seed", type=int, default=101)
-    p_gen.add_argument("--d", type=int, default=10)
-    p_gen.add_argument("--replicates", type=int, default=20)
+    p_gen.add_argument("--seed", type=int, default=ExperimentConfig.data_seed)
+    p_gen.add_argument("--d", type=int, default=ExperimentConfig.d)
+    p_gen.add_argument("--replicates", type=int, default=ExperimentConfig.replicates)
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=_cmd_generate)
 

@@ -408,7 +408,7 @@ def fit_gamma(ys) -> GammaParams:
     EmptyGroup
         If ``ys`` is empty.
     DegenerateGroup
-        If fewer than 3 observations, or all observations are equal.
+        If fewer than 3 observations, or no spread above float resolution.
     NonConvergence
         If both the likelihood and moment estimators fail (defect signal).
     """
@@ -425,6 +425,8 @@ def fit_gamma(ys) -> GammaParams:
 
     eps = max((mean - mn) / (n - 1), 1e-9)
     loc = mn - eps
+    if not loc < min(mn, mean):  # the anchor rounded onto the data
+        raise DegenerateGroup("gamma fit needs spread above the float resolution of the values")
 
     def fit_at(mu):
         z = ys - mu

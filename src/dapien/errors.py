@@ -13,6 +13,10 @@ class RaggedFeatures(DapienError):
     """Samples in one dataset have differing feature lengths."""
 
 
+class InvalidRecord(DapienError, ValueError):
+    """A bit other than 0 or 1, a non-finite target, or a CSV cell or header that does not parse."""
+
+
 class EmptyGroup(DapienError):
     """A distribution fit received an empty target vector."""
 

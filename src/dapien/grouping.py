@@ -5,19 +5,21 @@ per-group target vectors are then summarised into distribution parameters,
 producing the derived training set that the parameter regressors consume.
 Group identity is exact bit equality and group order is first appearance,
 so downstream training is deterministic.  A ``Sample`` is not checked
-when it is built: every function that takes a record list checks it
-through ``index_by_unique_input`` (bits 0 or 1, finite targets).
+when it is built: ``as_records`` checks a record list once (bits 0 or 1,
+finite targets) into a ``Records`` table that carries its input index.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
 
 from .distributions import DistFamily, fit_gamma, fit_gaussian
-from .errors import DapienError, EmptyDataset, RaggedFeatures
+from .errors import DapienError, EmptyDataset, InvalidRecord, RaggedFeatures
 
 
 class Sample(NamedTuple):
@@ -25,6 +27,63 @@ class Sample(NamedTuple):
 
     x: tuple[int, ...]
     y: float
+
+
+class Records(Sequence):
+    """Checked records, held as the distinct inputs, an index into them and the targets.
+
+    ``inputs`` holds the distinct input vectors as tuples of ints in order
+    of first appearance, ``index[i]`` numbers record i's input and
+    ``targets[i]`` is its float64 target; both arrays are read-only.  As a
+    ``Sequence[Sample]`` it has a length, and ``[i]`` and iteration give
+    ``Sample``s; ``==`` compares record by record with any sequence.  It is
+    not a list: there is no ``append`` and no ``+``.  Only ``as_records``,
+    ``synthdata.generate`` and ``subset`` build one.
+    """
+
+    __slots__ = ("inputs", "index", "targets")
+
+    def __new__(cls, *args, **kwargs):
+        raise TypeError("Records are built by as_records, generate, read_csv and group_split")
+
+    @classmethod
+    def _of(cls, inputs, index, targets) -> "Records":
+        """Wrap checked fields; the arrays become read-only."""
+        records = object.__new__(cls)
+        index.flags.writeable = targets.flags.writeable = False
+        for name, value in zip(cls.__slots__, (inputs, index, targets)):
+            object.__setattr__(records, name, value)
+        return records
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Records are immutable")
+
+    def __len__(self):
+        return self.index.size
+
+    def __getitem__(self, i):
+        return Sample(self.inputs[self.index[i]], float(self.targets[i]))
+
+    def __iter__(self):
+        xs = map(self.inputs.__getitem__, self.index.tolist())
+        return map(Sample, xs, self.targets.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def subset(self, keep) -> "Records":
+        """The records of the inputs that the boolean mask ``keep`` (one per input) marks."""
+        keep = np.asarray(keep, dtype=bool)
+        on = keep[self.index]
+        # whole inputs are kept, so their old order is still first appearance
+        renumber = np.cumsum(keep) - 1
+        return Records._of(
+            tuple(compress(self.inputs, keep.tolist())),
+            renumber[self.index[on]],
+            self.targets[on],
+        )
 
 
 @dataclass(frozen=True)
@@ -49,12 +108,12 @@ class DistDataset:
     family: DistFamily
 
 
-def index_by_unique_input(samples):
-    """Check records; return distinct inputs, each record's index into them, targets.
+def as_records(samples) -> Records:
+    """Check records and number their distinct inputs; a ``Records`` is returned as is.
 
-    Inputs are numbered in order of first appearance and returned as tuples
-    of ints; the index and the float64 targets follow the record order.
-    Each distinct input is checked once, the targets together.
+    Inputs are numbered in order of first appearance and kept as tuples of
+    ints, the targets as float64.  Each distinct input is checked once, the
+    targets together; this is the only code that hashes records.
 
     Raises
     ------
@@ -62,9 +121,11 @@ def index_by_unique_input(samples):
         If no samples are given.
     RaggedFeatures
         If feature vectors differ in length.
-    ValueError
+    InvalidRecord
         If a bit is not 0 or 1, or a target is not finite.
     """
+    if isinstance(samples, Records) and len(samples):
+        return samples
     samples = list(samples)
     if not samples:
         raise EmptyDataset("no samples to group")
@@ -75,11 +136,11 @@ def index_by_unique_input(samples):
         if len(x) != d:
             raise RaggedFeatures(f"feature length {len(x)} differs from first sample's {d}")
         if any(b not in (0, 1) for b in x):
-            raise ValueError(f"feature vector must be binary, got {x}")
+            raise InvalidRecord(f"feature vector must be binary, got {x}")
     targets = np.array([s.y for s in samples], dtype=np.float64)
     if not np.isfinite(targets).all():
-        raise ValueError(f"target must be finite, got {targets[~np.isfinite(targets)][0]}")
-    return tuple(tuple(map(int, x)) for x in numbers), index, targets
+        raise InvalidRecord(f"target must be finite, got {targets[~np.isfinite(targets)][0]}")
+    return Records._of(tuple(tuple(map(int, x)) for x in numbers), index, targets)
 
 
 def group_by_unique_input(samples) -> GroupedDataset:
@@ -95,11 +156,11 @@ def group_by_unique_input(samples) -> GroupedDataset:
     RaggedFeatures
         If feature vectors differ in length.
     """
-    inputs, index, targets = index_by_unique_input(samples)
-    by_group = targets[np.argsort(index, kind="stable")]
-    ends = np.cumsum(np.bincount(index))
-    groups = tuple(zip(inputs, np.split(by_group, ends[:-1])))
-    return GroupedDataset(groups=groups, d=len(inputs[0]))
+    records = as_records(samples)
+    by_group = records.targets[np.argsort(records.index, kind="stable")]
+    ends = np.cumsum(np.bincount(records.index))
+    groups = tuple(zip(records.inputs, np.split(by_group, ends[:-1])))
+    return GroupedDataset(groups=groups, d=len(records.inputs[0]))
 
 
 def build_dist_dataset(grouped: GroupedDataset, family: DistFamily) -> DistDataset:

@@ -10,7 +10,7 @@ that switches on only when coverage falls below the acceptance threshold
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -31,16 +31,7 @@ class EvaluationReport:
     cwc_eta: float
 
     def to_dict(self) -> dict:
-        return {
-            "picp": self.picp,
-            "mpiw": self.mpiw,
-            "nmpiw": self.nmpiw,
-            "cwc": self.cwc,
-            "n": self.n,
-            "confidence": self.confidence,
-            "cwc_mu": self.cwc_mu,
-            "cwc_eta": self.cwc_eta,
-        }
+        return asdict(self)
 
 
 def _arrays(*columns):

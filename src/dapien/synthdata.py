@@ -16,8 +16,8 @@ test pins this sequence.  Input vectors are enumerated in ascending
 integer order with bit j of the counter stored at feature j, and the
 replicates of one vector are drawn consecutively, so a (seed, spec) pair
 identifies the dataset bit for bit; one draw call per dataset keeps
-that order.  ``group_split``, ``write_csv`` and ``read_csv`` check their
-records through ``grouping.index_by_unique_input``.
+that order.  ``generate``, ``read_csv`` and ``group_split`` return a
+checked ``grouping.Records``.
 """
 
 from __future__ import annotations
@@ -26,13 +26,12 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress
 from pathlib import Path
 
 import numpy as np
 
-from .errors import RaggedFeatures, TooFewGroups
-from .grouping import Sample, index_by_unique_input
+from .errors import InvalidRecord, RaggedFeatures, TooFewGroups
+from .grouping import Records, Sample, as_records
 
 
 class NoiseKind(Enum):
@@ -69,12 +68,12 @@ class SplitSpec:
             raise ValueError("test_fraction must lie in (0, 1)")
 
 
-def generate(spec: GeneratorSpec) -> list[Sample]:
-    """Emit ``2**d * replicates`` samples, deterministic per seed."""
+def generate(spec: GeneratorSpec) -> Records:
+    """Emit ``2**d * replicates`` records, deterministic per seed."""
     rng = np.random.default_rng(spec.seed)
-    reps = spec.replicates
     bits = (np.arange(2 ** spec.d)[:, None] >> np.arange(spec.d)) & 1
-    f = np.repeat(bits.sum(axis=1).astype(np.float64), reps)
+    index = np.repeat(np.arange(2 ** spec.d), spec.replicates)
+    f = bits.sum(axis=1).astype(np.float64)[index]
     # one call per dataset draws what one call per input vector drew, in order
     if spec.noise is NoiseKind.CONDITIONAL_WHITE:
         ys = f.copy()
@@ -84,11 +83,10 @@ def generate(spec: GeneratorSpec) -> list[Sample]:
         ys = f + f * rng.normal(0.0, 0.1, size=f.size)
     else:
         ys = f + f * rng.gamma(shape=1.0, scale=1.0, size=f.size)
-    inputs = list(map(tuple, bits.tolist()))
-    return [Sample(inputs[i // reps], y) for i, y in enumerate(ys.tolist())]
+    return Records._of(tuple(map(tuple, bits.tolist())), index, ys)
 
 
-def group_split(samples, spec: SplitSpec) -> tuple[list[Sample], list[Sample]]:
+def group_split(samples, spec: SplitSpec) -> tuple[Records, Records]:
     """Partition samples so train and test share no input vector.
 
     ``ceil(test_fraction * p)`` of the p distinct inputs, chosen by a
@@ -100,9 +98,8 @@ def group_split(samples, spec: SplitSpec) -> tuple[list[Sample], list[Sample]]:
     TooFewGroups
         If fewer than 2 distinct input vectors are present.
     """
-    samples = list(samples)
-    inputs, index, _ = index_by_unique_input(samples) if samples else ((), None, None)
-    p = len(inputs)
+    records = as_records(samples) if len(samples) else None
+    p = 0 if records is None else len(records.inputs)
     if p < 2:
         raise TooFewGroups(f"need at least 2 distinct inputs, got {p}")
     order = np.random.default_rng(spec.seed).permutation(p)
@@ -110,23 +107,23 @@ def group_split(samples, spec: SplitSpec) -> tuple[list[Sample], list[Sample]]:
     n_test = min(math.ceil(spec.test_fraction * p), p - 1)
     is_test = np.zeros(p, dtype=bool)
     is_test[order[:n_test]] = True
-    on_test = is_test[index]
-    train = list(compress(samples, (~on_test).tolist()))
-    return train, list(compress(samples, on_test.tolist()))
+    return records.subset(~is_test), records.subset(is_test)
 
 
 def write_csv(samples, path) -> None:
     """Check samples, then write them as ``x_0..x_{d-1}, y`` with full float precision."""
-    inputs, index, targets = index_by_unique_input(samples)
+    records = as_records(samples)
+    inputs = records.inputs
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"x_{j}" for j in range(len(inputs[0]))] + ["y"])
         writer.writerows(
-            (*inputs[i], repr(y)) for i, y in zip(index.tolist(), targets.tolist())
+            (*inputs[i], repr(y))
+            for i, y in zip(records.index.tolist(), records.targets.tolist())
         )
 
 
-def read_csv(path) -> list[Sample]:
+def read_csv(path) -> Records:
     """Read and check a dataset written by :func:`write_csv`.
 
     Raises
@@ -135,9 +132,9 @@ def read_csv(path) -> list[Sample]:
         If any row's length disagrees with the header.
     EmptyDataset
         If the file holds no records.
-    ValueError
-        On a missing/invalid header, an unparsable cell, a non-binary bit
-        or a non-finite target.
+    InvalidRecord
+        On a missing or invalid header, an unparsable cell (naming the file
+        and row), a non-binary bit or a non-finite target.
     """
     path = Path(path)
     with open(path, newline="") as fh:
@@ -145,9 +142,9 @@ def read_csv(path) -> list[Sample]:
         try:
             header = next(reader)
         except StopIteration:
-            raise ValueError(f"{path}: empty file, expected a header row")
+            raise InvalidRecord(f"{path}: empty file, expected a header row") from None
         if len(header) < 2 or header[-1] != "y":
-            raise ValueError(f"{path}: expected header x_0..x_{{d-1}},y")
+            raise InvalidRecord(f"{path}: expected header x_0..x_{{d-1}},y")
         d = len(header) - 1
         samples = []
         for i, row in enumerate(reader, start=2):
@@ -157,6 +154,8 @@ def read_csv(path) -> list[Sample]:
                 raise RaggedFeatures(
                     f"{path}: row {i} has {len(row)} cells, expected {d + 1}"
                 )
-            samples.append(Sample(tuple(map(int, row[:d])), float(row[d])))
-    index_by_unique_input(samples)
-    return samples
+            try:
+                samples.append(Sample(tuple(map(int, row[:d])), float(row[d])))
+            except ValueError as exc:
+                raise InvalidRecord(f"{path}: row {i}: {exc}") from None
+    return as_records(samples)

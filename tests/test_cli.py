@@ -14,6 +14,7 @@ from dapien.cli import (
     run_experiment,
     run_suite,
 )
+from dapien.synthdata import generate, write_csv
 
 
 def small_config(dataset, out, **overrides):
@@ -160,6 +161,35 @@ class TestCommandLine:
         code = main(["suite", "--configs", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "suite")])
         assert code == EXIT_CONFIG
+
+    def test_generate_defaults_are_the_config_defaults(self, tmp_path):
+        assert main(["generate", "--dataset", "B", "--out", str(tmp_path / "cli.csv")]) == EXIT_OK
+        write_csv(generate(ExperimentConfig(dataset="B").generator_spec()), tmp_path / "lib.csv")
+        assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
+
+    def test_a_group_below_float_resolution_is_a_runtime_error(self, tmp_path, caplog):
+        # two of the four inputs hold groups a gamma fit cannot resolve, so
+        # whichever input the split sends to the test side, one is trained on
+        groups = {
+            "0,0": [1.0, 1.5, 2.7, 1.2],
+            "0,1": [3e7, 3e7, 3e7 + 3.7e-9],
+            "1,0": [3e7, 3e7 + 3.7e-9, 3e7],
+            "1,1": [2.0, 2.25, 4.0, 3.1],
+        }
+        data = tmp_path / "data.csv"
+        data.write_text("x_0,x_1,y\n" + "".join(
+            f"{x},{y!r}\n" for x, ys in groups.items() for y in ys
+        ))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "dataset": str(data), "family": "gamma", "bootstrap_b": 2,
+            "folds": 2, "max_iterations": 50,
+        }))
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(config_path), "--out", str(out)])
+        assert code == EXIT_RUNTIME
+        assert "float resolution" in caplog.text
+        assert not out.exists()
 
     def test_generate_rejects_unknown_dataset(self, tmp_path):
         code = main(["generate", "--dataset", "Z", "--out", str(tmp_path / "x.csv")])

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from dapien import distributions
 from dapien.distributions import (
     GammaParams,
     GaussianParams,
@@ -24,6 +25,19 @@ from dapien.distributions import (
 )
 from dapien.errors import DegenerateGroup, DomainError, EmptyGroup
 from oracles import gamma_quantile_quadrature, t_two_sided_quadrature
+
+
+def spy(monkeypatch, name):
+    """The list of what ``distributions.<name>`` returns from now on."""
+    returns = []
+    original = getattr(distributions, name)
+
+    def wrapper(z):
+        returns.append(original(z))
+        return returns[-1]
+
+    monkeypatch.setattr(distributions, name, wrapper)
+    return returns
 
 
 class TestFitGaussian:
@@ -66,6 +80,26 @@ class TestFitGamma:
     def test_empty(self):
         with pytest.raises(EmptyGroup):
             fit_gamma([])
+
+    @pytest.mark.filterwarnings("error")
+    def test_spread_below_float_resolution_is_degenerate(self):
+        # the location anchor min - 1e-9 rounds back onto 3e7
+        with pytest.raises(DegenerateGroup, match="float resolution"):
+            fit_gamma([3e7, 3e7, 3e7 + 3.7e-9])
+
+    @pytest.mark.filterwarnings("error")
+    def test_moments_fallback_when_newton_does_not_converge(self, monkeypatch):
+        mle_returns = spy(monkeypatch, "_shape_rate_mle")
+        moments_returns = spy(monkeypatch, "_shape_rate_moments")
+        ys = [1.0, 1.0, 1.0 + 2**-52]
+        params = fit_gamma(ys)
+        (mle,), (moments,) = mle_returns, moments_returns
+        assert mle is not None and not mle[2]
+        shape = distributions._shape_bias_correction(moments[0], 3)
+        assert params.shape == shape != distributions._shape_bias_correction(mle[0], 3)
+        assert params.rate == distributions._rate_from_mean(
+            shape, 3, float(np.mean(ys)) - params.location
+        )
 
     def test_monte_carlo_exponential(self):
         rng = np.random.default_rng(42)

@@ -7,7 +7,7 @@ import pytest
 
 from dapien.bootstrap import bootstrap_fit
 from dapien.distributions import DistFamily
-from dapien.errors import DegenerateGroup, EmptyDataset, RaggedFeatures
+from dapien.errors import DapienError, DegenerateGroup, EmptyDataset, RaggedFeatures
 from dapien.grouping import (
     Sample,
     build_dist_dataset,
@@ -180,8 +180,9 @@ CONSUMERS = {
     ids=["bit 2", "bit -1", "bit 0.5", "target nan", "target inf"],
 )
 def test_every_consumer_rejects_an_invalid_record(tmp_path, consumer, bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as caught:
         CONSUMERS[consumer](VALID_RECORDS + [bad], tmp_path)
+    assert isinstance(caught.value, DapienError)
     assert not (tmp_path / "out.csv").exists()
 
 

@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from dapien.errors import RaggedFeatures, TooFewGroups
+from dapien.errors import DapienError, InvalidRecord, RaggedFeatures, TooFewGroups
 from dapien.grouping import group_by_unique_input
 from dapien.synthdata import (
     GeneratorSpec,
@@ -153,6 +153,15 @@ def test_csv_ragged_row(tmp_path):
     path.write_text("x_0,x_1,y\n0,1,2.0\n0,1\n")
     with pytest.raises(RaggedFeatures):
         read_csv(path)
+
+
+@pytest.mark.parametrize("row", ["0,b,2.0", "0,1,", "0,1.0,2.0", "0,1,two"])
+def test_csv_unparsable_cell_names_file_and_row(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"x_0,x_1,y\n0,1,2.0\n{row}\n")
+    with pytest.raises(InvalidRecord, match="bad.csv: row 3") as caught:
+        read_csv(path)
+    assert isinstance(caught.value, DapienError) and isinstance(caught.value, ValueError)
 
 
 def test_csv_bad_header(tmp_path):
