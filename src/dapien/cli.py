@@ -2,18 +2,19 @@
 
 ``run`` produces three files per experiment: ``report.json`` with the
 aggregate interval metrics per method, ``intervals.csv`` with one row per
-test sample (the data behind interval plots), and ``config.json`` echoing
-the resolved configuration for provenance.  ``suite`` runs several
-experiments and tabulates PICP/MPIW per (dataset, method).  All outputs
-are byte-stable for a fixed configuration.  Each output loops over
-``METHODS``, and an ``ExperimentConfig`` builds every spec a run uses.
+test sample (the data behind interval plots, written by
+``synthdata.csv_lines`` with one column per method and bound), and
+``config.json`` echoing the resolved configuration for provenance, less
+the generator fields for a CSV dataset.  For a gamma fit the runner drops
+the training groups ``distributions.gamma_degeneracy`` names.  ``suite``
+runs several experiments and tabulates PICP/MPIW per (dataset, method).
+All outputs are byte-stable for a fixed configuration.  Each output loops
+over ``METHODS``, and an ``ExperimentConfig`` builds every spec a run uses.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import logging
 import math
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .bootstrap import bootstrap_fit, bootstrap_predict_interval, bootstrap_predict_sigma
-from .distributions import DistFamily
+from .distributions import DistFamily, gamma_degeneracy
 from .errors import DapienError
 from .grouping import group_by_unique_input
 from .metrics import evaluate
@@ -34,6 +35,7 @@ from .synthdata import (
     GeneratorSpec,
     NoiseKind,
     SplitSpec,
+    csv_lines,
     generate,
     group_split,
     read_csv,
@@ -145,12 +147,12 @@ def _load_samples(config: ExperimentConfig):
 
 
 def _drop_degenerate_groups(records, family: DistFamily):
-    """Remove groups a gamma fit cannot use; returns (kept, sorted dropped keys)."""
+    """Remove the groups ``gamma_degeneracy`` names; returns (kept, sorted dropped keys)."""
     if family is not DistFamily.GAMMA:
         return records, []
     # one group per input of ``records``, in the same order
     grouped = group_by_unique_input(records)
-    bad = np.array([ys.size < 3 or bool(np.all(ys == ys[0])) for _, ys in grouped.groups])
+    bad = np.array([gamma_degeneracy(ys) is not None for _, ys in grouped.groups])
     dropped = sorted(records.inputs[i] for i in np.flatnonzero(bad))
     if dropped:
         log.warning(
@@ -159,15 +161,6 @@ def _drop_degenerate_groups(records, family: DistFamily):
             "".join(map(str, dropped[0])),
         )
     return records.subset(~bad), dropped
-
-
-def _csv_text(header, rows) -> str:
-    """CSV with the csv module's ``\\r\\n`` line ends; write it with ``newline=""``."""
-    table = io.StringIO()
-    writer = csv.writer(table)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return table.getvalue()
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
@@ -187,8 +180,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
         # test groups share intervals, so each method predicts every distinct
         # input in one call; per method, (lower, point, upper) in METHODS order
-        inputs, index, targets = test.inputs, test.index, test.targets
-        U = np.asarray(inputs, dtype=np.float64)
+        U = np.asarray(test.inputs, dtype=np.float64)
         dapien_iv = dapien_predict_interval(model, U, config.confidence)
         boot_iv = bootstrap_predict_interval(boot, U, config.confidence)
         answers = (
@@ -199,24 +191,23 @@ def run_experiment(config: ExperimentConfig) -> dict:
         report = {}
         for method, (lower, _, upper) in zip(METHODS, answers):
             doc = evaluate(
-                lower[index], upper[index], targets, config.confidence,
+                lower[test.index], upper[test.index], test.targets, config.confidence,
                 cwc_mu=config.cwc_mu, cwc_eta=config.cwc_eta,
             ).to_dict()
             report[method] = {k: doc[k] for k in _REPORT_KEYS}
 
-        header = [f"x_{j}" for j in range(len(inputs[0]))] + ["y"]
-        header += [f"{method}_{end}" for method in METHODS for end in ("lower", "point", "upper")]
-        per_sample = np.column_stack([v for answer in answers for v in answer])[index]
-        csv_rows = (
-            [*inputs[i], repr(y)] + [repr(v) for v in row]
-            for i, y, row in zip(index.tolist(), targets.tolist(), per_sample.tolist())
-        )
+        ends = ("lower", "point", "upper")
+        columns = {f"{m}_{e}": v for m, a in zip(METHODS, answers) for e, v in zip(ends, a)}
         echo = asdict(config)
+        if config.dataset not in _DATASET_NOISE:
+            # a CSV dataset is not drawn, so the generator's fields describe nothing
+            for key in ("d", "replicates", "data_seed"):
+                del echo[key]
         echo["resolved_family"] = family.value
         echo["dropped_groups"] = ["".join(map(str, x)) for x in dropped]
         texts = {
             "report.json": json.dumps(report, indent=2, sort_keys=True) + "\n",
-            "intervals.csv": _csv_text(header, csv_rows),
+            "intervals.csv": "".join(csv_lines(test, **columns)),
             "config.json": json.dumps(echo, indent=2, sort_keys=True) + "\n",
         }
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -227,7 +218,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
         return report
     except Exception:
         for path in written:
-            path.unlink(missing_ok=True)
+            if path.is_file():
+                path.unlink()
         raise
 
 
@@ -257,9 +249,9 @@ def run_suite(configs, output_dir) -> tuple[list[dict], int]:
             for method in METHODS
         ]
 
+    summary = [_SUMMARY_FIELDS] + [[str(r[k]) for k in _SUMMARY_FIELDS] for r in rows]
     (out_dir / "summary.csv").write_text(
-        _csv_text(_SUMMARY_FIELDS, ([r[k] for k in _SUMMARY_FIELDS] for r in rows)),
-        newline="",
+        "".join(",".join(cells) + "\r\n" for cells in summary), newline=""
     )
     md_lines = ["| dataset | method | PICP | MPIW | status |", "| --- | --- | --- | --- | --- |"]
     for r in rows:

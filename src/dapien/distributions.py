@@ -390,6 +390,33 @@ def _rate_from_mean(a, n, mean):
     return rate
 
 
+def _gamma_anchor(ys):
+    """The minimum and mean of ``ys``, and the location anchored below the minimum.
+
+    Raises ``DegenerateGroup`` for fewer than 3 values, all values equal, or
+    a spread below the float resolution of the values.
+    """
+    n = ys.size
+    if n < 3:
+        raise DegenerateGroup(f"gamma fit needs at least 3 observations, got {n}")
+    if np.all(ys == ys[0]):
+        raise DegenerateGroup("gamma fit needs spread; all observations are equal")
+    mn, mean = float(ys.min()), float(ys.mean())
+    loc = mn - max((mean - mn) / (n - 1), 1e-9)
+    if not loc < min(mn, mean):  # the anchor rounded onto the data
+        raise DegenerateGroup("gamma fit needs spread above the float resolution of the values")
+    return mn, mean, loc
+
+
+def gamma_degeneracy(ys) -> str | None:
+    """Why :func:`fit_gamma` rejects the non-empty group ``ys``, or None if it fits it."""
+    try:
+        _gamma_anchor(np.asarray(ys, dtype=np.float64))
+    except DegenerateGroup as exc:
+        return str(exc)
+    return None
+
+
 def fit_gamma(ys) -> GammaParams:
     """Fit shape, rate and location to a target group by maximum likelihood.
 
@@ -416,17 +443,7 @@ def fit_gamma(ys) -> GammaParams:
     if ys.size == 0:
         raise EmptyGroup("cannot fit a gamma to an empty group")
     n = int(ys.size)
-    if n < 3:
-        raise DegenerateGroup(f"gamma fit needs at least 3 observations, got {n}")
-    mn = float(ys.min())
-    mean = float(ys.mean())
-    if np.all(ys == ys[0]):
-        raise DegenerateGroup("gamma fit needs spread; all observations are equal")
-
-    eps = max((mean - mn) / (n - 1), 1e-9)
-    loc = mn - eps
-    if not loc < min(mn, mean):  # the anchor rounded onto the data
-        raise DegenerateGroup("gamma fit needs spread above the float resolution of the values")
+    mn, mean, loc = _gamma_anchor(ys)
 
     def fit_at(mu):
         z = ys - mu

@@ -96,6 +96,15 @@ class PredictionInterval:
         if not (0.0 < self.confidence < 1.0):
             raise ValueError(f"confidence must lie in (0, 1), got {self.confidence}")
 
+    def __eq__(self, other):
+        # equal shapes and elements, so array bounds compare too; the
+        # dataclass still hashes the fields, which arrays cannot be
+        if not isinstance(other, PredictionInterval):
+            return NotImplemented
+        return bool(self.confidence == other.confidence) and all(
+            np.array_equal(a, b) for a, b in ((self.lower, other.lower), (self.upper, other.upper))
+        )
+
     @property
     def width(self):
         return self.upper - self.lower

@@ -18,6 +18,9 @@ replicates of one vector are drawn consecutively, so a (seed, spec) pair
 identifies the dataset bit for bit; one draw call per dataset keeps
 that order.  ``generate``, ``read_csv`` and ``group_split`` return a
 checked ``grouping.Records``.
+``csv_lines`` formats records as ``x_0..x_{d-1},y`` lines for both
+``write_csv`` and the runner's ``intervals.csv``; ``read_csv`` parses each
+distinct spelling of an input once.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -110,17 +114,28 @@ def group_split(samples, spec: SplitSpec) -> tuple[Records, Records]:
     return records.subset(~is_test), records.subset(is_test)
 
 
+def csv_lines(samples, **columns):
+    """Check samples and give their CSV lines, as ``csv.writer`` writes them.
+
+    The header is ``x_0..x_{d-1},y`` and the names of ``columns``, which must
+    hold no comma, quote or line break; each column holds one float per
+    distinct input.  Each input's cells are formatted once, every float as a
+    Python float's ``repr``.  Write the lines with ``newline=""``.
+    """
+    records = as_records(samples)
+    header = ",".join([f"x_{j}" for j in range(len(records.inputs[0]))] + ["y", *columns])
+    heads = [",".join(map(str, x)) + "," for x in records.inputs]
+    table = np.asarray(list(columns.values()), dtype=np.float64).reshape(len(columns), len(heads))
+    tails = ["".join("," + repr(v) for v in row) + "\r\n" for row in table.T.tolist()]
+    index, targets = records.index.tolist(), records.targets.tolist()
+    return chain([header + "\r\n"], (heads[i] + repr(y) + tails[i] for i, y in zip(index, targets)))
+
+
 def write_csv(samples, path) -> None:
     """Check samples, then write them as ``x_0..x_{d-1}, y`` with full float precision."""
-    records = as_records(samples)
-    inputs = records.inputs
+    lines = csv_lines(samples)  # checks the samples before the file is opened
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x_{j}" for j in range(len(inputs[0]))] + ["y"])
-        writer.writerows(
-            (*inputs[i], repr(y))
-            for i, y in zip(records.index.tolist(), records.targets.tolist())
-        )
+        fh.writelines(lines)
 
 
 def read_csv(path) -> Records:
@@ -146,6 +161,7 @@ def read_csv(path) -> Records:
         if len(header) < 2 or header[-1] != "y":
             raise InvalidRecord(f"{path}: expected header x_0..x_{{d-1}},y")
         d = len(header) - 1
+        bits = {}  # raw bit cells to their input, so each spelling is parsed once
         samples = []
         for i, row in enumerate(reader, start=2):
             if not row:
@@ -154,8 +170,10 @@ def read_csv(path) -> Records:
                 raise RaggedFeatures(
                     f"{path}: row {i} has {len(row)} cells, expected {d + 1}"
                 )
+            cells = tuple(row[:d])
             try:
-                samples.append(Sample(tuple(map(int, row[:d])), float(row[d])))
+                x = bits.get(cells) or bits.setdefault(cells, tuple(map(int, cells)))
+                samples.append(Sample(x, float(row[d])))
             except ValueError as exc:
                 raise InvalidRecord(f"{path}: row {i}: {exc}") from None
     return as_records(samples)

@@ -77,7 +77,7 @@ def fitted(request):
     return fit(request.param)
 
 
-@settings(max_examples=15, deadline=None, derandomize=True)
+@settings(max_examples=15)
 @given(
     rows=st.lists(st.integers(0, 2**D - 1), min_size=1, max_size=12),
     confidence=st.sampled_from([0.8, 0.95, 0.99]),

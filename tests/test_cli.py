@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import pytest
 
@@ -14,7 +15,8 @@ from dapien.cli import (
     run_experiment,
     run_suite,
 )
-from dapien.synthdata import generate, write_csv
+from dapien.grouping import Sample
+from dapien.synthdata import GeneratorSpec, NoiseKind, generate, write_csv
 
 
 def small_config(dataset, out, **overrides):
@@ -100,6 +102,46 @@ def test_invalid_csv_leaves_no_outputs(tmp_path):
     assert not out.exists()
 
 
+def test_a_failed_write_removes_the_outputs_written_before_it(tmp_path):
+    out = tmp_path / "exp"
+    (out / "config.json").mkdir(parents=True)
+    with pytest.raises(OSError) as caught:
+        run_experiment(small_config("A", out))
+    # the write's own error, not one raised while cleaning up after it
+    assert caught.value.__context__ is None
+    assert sorted(p.name for p in out.iterdir()) == ["config.json"]
+    assert (out / "config.json").is_dir()
+
+
+def test_the_runner_drops_what_the_gamma_fit_rejects(tmp_path):
+    # group 1111 has spread, but below the float resolution of its values
+    records = generate(GeneratorSpec(NoiseKind.SCALED_GAMMA, d=4, replicates=20, seed=3))
+    flat = [math.nextafter(3e7, math.inf)] + [3e7] * 19
+    samples = [
+        Sample(s.x, flat[i % 20] if s.x == (1, 1, 1, 1) else s.y) for i, s in enumerate(records)
+    ]
+    write_csv(samples, tmp_path / "data.csv")
+    config = ExperimentConfig(
+        dataset=str(tmp_path / "data.csv"), family="gamma", bootstrap_b=3, split_seed=1,
+        output_dir=str(tmp_path / "exp"),
+    )
+    report = run_experiment(config)
+    assert report["dapien"]["n"] > 0
+    echo = json.loads((tmp_path / "exp" / "config.json").read_text())
+    assert echo["dropped_groups"] == ["0000", "1111"]
+
+
+def test_config_echo_of_a_csv_run_leaves_out_the_generator_fields(tmp_path):
+    write_csv(generate(GeneratorSpec(NoiseKind.SCALED_WHITE, d=4, replicates=6, seed=3)),
+              tmp_path / "data.csv")
+    run_experiment(small_config(str(tmp_path / "data.csv"), tmp_path / "csv"))
+    run_experiment(small_config("B", tmp_path / "synthetic"))
+    csv_echo = json.loads((tmp_path / "csv" / "config.json").read_text())
+    synthetic_echo = json.loads((tmp_path / "synthetic" / "config.json").read_text())
+    assert set(synthetic_echo) - set(csv_echo) == {"d", "replicates", "data_seed"}
+    assert synthetic_echo["d"] == 5 and synthetic_echo["data_seed"] == 5
+
+
 def test_unknown_config_key_rejected():
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"dataset": "A", "bogus": 1})
@@ -167,9 +209,10 @@ class TestCommandLine:
         write_csv(generate(ExperimentConfig(dataset="B").generator_spec()), tmp_path / "lib.csv")
         assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
 
-    def test_a_group_below_float_resolution_is_a_runtime_error(self, tmp_path, caplog):
+    def test_a_group_below_float_resolution_is_dropped(self, tmp_path, caplog):
         # two of the four inputs hold groups a gamma fit cannot resolve, so
-        # whichever input the split sends to the test side, one is trained on
+        # whichever input the split sends to the test side, one is trained on;
+        # the runner drops them by fit_gamma's own predicate
         groups = {
             "0,0": [1.0, 1.5, 2.7, 1.2],
             "0,1": [3e7, 3e7, 3e7 + 3.7e-9],
@@ -187,9 +230,10 @@ class TestCommandLine:
         }))
         out = tmp_path / "out"
         code = main(["run", "--config", str(config_path), "--out", str(out)])
-        assert code == EXIT_RUNTIME
-        assert "float resolution" in caplog.text
-        assert not out.exists()
+        assert code == EXIT_OK
+        assert "dropping 2 group(s) unusable for a gamma fit" in caplog.text
+        echo = json.loads((out / "config.json").read_text())
+        assert echo["dropped_groups"] == ["01", "10"]
 
     def test_generate_rejects_unknown_dataset(self, tmp_path):
         code = main(["generate", "--dataset", "Z", "--out", str(tmp_path / "x.csv")])

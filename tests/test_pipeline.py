@@ -256,3 +256,19 @@ def test_prediction_interval_invariants():
         PredictionInterval(lower=2.0, upper=1.0, confidence=0.9)
     with pytest.raises(ValueError):
         PredictionInterval(lower=0.0, upper=1.0, confidence=1.5)
+
+
+def test_prediction_intervals_compare_by_shape_and_value():
+    scalar = PredictionInterval(lower=0.0, upper=1.0, confidence=0.9)
+    assert scalar == PredictionInterval(0.0, 1.0, 0.9)
+    assert hash(scalar) == hash(PredictionInterval(0.0, 1.0, 0.9))
+    assert scalar != PredictionInterval(0.0, 1.0, 0.8)
+    assert scalar != PredictionInterval(0.0, 2.0, 0.9)
+
+    batch = PredictionInterval(np.array([0.0, 1.0]), np.array([1.0, 2.0]), 0.9)
+    same = PredictionInterval(np.array([0.0, 1.0]), np.array([1.0, 2.0]), 0.9)
+    assert (batch == same) is True and (batch != same) is False
+    assert batch != PredictionInterval(np.array([0.0]), np.array([1.0]), 0.9)
+    assert batch != PredictionInterval(np.array([0.0, 1.0]), np.array([1.0, 3.0]), 0.9)
+    assert batch != PredictionInterval(np.array([0.0, 1.0]), np.array([1.0, 2.0]), 0.8)
+    assert batch != scalar

@@ -3,9 +3,12 @@
 A ``Records`` holds the distinct inputs, each record's index into them and
 the targets.  It must read as the ``Sample`` list it was checked from, be
 returned as is by ``as_records``, and subset to what checking the filtered
-plain list gives.  CSV round trips keep every target bit.
+plain list gives.  CSV round trips keep every target bit, and the CSV text
+is what ``csv.writer`` writes for the same rows.
 """
 
+import csv
+import io
 import math
 import tempfile
 from pathlib import Path
@@ -22,12 +25,14 @@ from dapien.synthdata import (
     NoiseKind,
     SplitSpec,
     generate,
+    csv_lines,
     group_split,
     read_csv,
     write_csv,
 )
 
 EXTREME_TARGETS = [-0.0, 0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 1 / 3, -2.5]
+EXTREME_VALUES = [*EXTREME_TARGETS, math.nan, math.inf, -math.inf]
 
 
 @st.composite
@@ -44,7 +49,7 @@ def fields(records):
     return records.inputs, records.index.tolist(), records.targets.tobytes()
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(reference=record_lists(), data=st.data())
 def test_records_read_as_the_plain_list(reference, data):
     records = as_records(reference)
@@ -74,7 +79,7 @@ def test_records_read_as_the_plain_list(reference, data):
             as_records(subset)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(reference=record_lists(
     targets=st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EXTREME_TARGETS)
 ))
@@ -88,6 +93,46 @@ def test_csv_round_trip_keeps_every_target_bit(reference):
     assert back == reference
     expected = np.array([s.y for s in reference], dtype=np.float64)
     assert back.targets.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=60)
+@given(
+    reference=record_lists(
+        targets=st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EXTREME_TARGETS)
+    ),
+    data=st.data(),
+)
+def test_csv_lines_are_what_csv_writer_writes(reference, data):
+    records = as_records(reference)
+    p = len(records.inputs)
+    names = data.draw(st.lists(st.from_regex(r"[a-z_][a-z0-9_]{0,8}", fullmatch=True),
+                               max_size=4, unique=True))
+    values = st.floats() | st.sampled_from(EXTREME_VALUES)
+    columns = {
+        name: np.array(data.draw(st.lists(values, min_size=p, max_size=p)), dtype=np.float64)
+        for name in names
+    }
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow([f"x_{j}" for j in range(len(records.inputs[0]))] + ["y", *names])
+    # csv.writer formats a Python float with repr
+    writer.writerows(
+        [*s.x, s.y] + [float(columns[name][records.inputs.index(s.x)]) for name in names]
+        for s in reference
+    )
+    assert "".join(csv_lines(records, **columns)) == expected.getvalue()
+    if not names:
+        assert "".join(csv_lines(reference)) == expected.getvalue()
+
+
+def test_csv_lines_need_one_value_per_input_and_check_first(tmp_path):
+    with pytest.raises(EmptyDataset):
+        write_csv([], tmp_path / "empty.csv")
+    assert not (tmp_path / "empty.csv").exists()
+    records = as_records([Sample((0,), 1.0), Sample((1,), 2.0), Sample((0,), 3.0)])
+    assert "".join(csv_lines(records, z=[0.5, 1.5])).endswith("0,3.0,0.5\r\n")
+    with pytest.raises(ValueError):
+        csv_lines(records, z=[0.5, 1.5, 2.5])
 
 
 def test_the_data_functions_return_records(tmp_path):

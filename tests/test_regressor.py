@@ -358,7 +358,7 @@ def targets(n, low, high):
 class TestTrainOnRows:
     """``train(U, t, rows=g)`` is ``train(U[g], t)``, however inputs repeat."""
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=40)
     @given(data=st.data(), folds=st.sampled_from([1, 5]))
     def test_identity_matches_the_records_fit(self, data, folds):
         U, rows = data.draw(repeated_inputs())
@@ -369,7 +369,7 @@ class TestTrainOnRows:
         assert np.all(np.abs(cells.weights - records.weights) <= 1e-9)
         assert abs(cells.bias - records.bias) <= 1e-9
 
-    @settings(max_examples=25, deadline=None, derandomize=True)
+    @settings(max_examples=25)
     @given(data=st.data(), folds=st.sampled_from([1, 5]))
     def test_exponential_matches_the_records_fit(self, data, folds):
         U, rows = data.draw(repeated_inputs())
@@ -381,7 +381,7 @@ class TestTrainOnRows:
         got = np.append(cells.weights, cells.bias)
         assert np.all(np.abs(got - want) <= 1e-6 * np.maximum(1.0, np.abs(want)))
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(data=st.data())
     def test_cell_error_is_the_records_mean_error(self, data):
         U, rows = data.draw(repeated_inputs())

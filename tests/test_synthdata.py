@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from dapien import synthdata
 from dapien.errors import DapienError, InvalidRecord, RaggedFeatures, TooFewGroups
 from dapien.grouping import group_by_unique_input
 from dapien.synthdata import (
@@ -146,6 +147,47 @@ def test_csv_round_trip(tmp_path):
     write_csv(samples, path)
     back = read_csv(path)
     assert back == samples  # full precision survives
+
+
+# sha256 of the file write_csv writes for the dataset-C draw above; it pins
+# the header, the bit cells, each target's repr and the \r\n line ends
+GOLDEN_CSV_DIGEST = "71d3ce13239261670255f7ace71597226ad0e89b75bbfb3b61ecbeb66a99ae09"
+
+
+def test_csv_golden_bytes(tmp_path):
+    path = tmp_path / "data.csv"
+    write_csv(generate(GeneratorSpec(NoiseKind.SCALED_GAMMA, d=6, replicates=5, seed=7)), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CSV_DIGEST
+
+
+def test_csv_spellings_of_one_bit_are_one_input(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text('x_0,x_1,y\n0,1,2.0\n0,01,3.0\n0, 1,4.0\n"0","1",5.0\n1,0,6.0\n')
+    records = read_csv(path)
+    assert records.inputs == ((0, 1), (1, 0))
+    assert records.index.tolist() == [0, 0, 0, 0, 1]
+
+
+def test_csv_parses_each_distinct_prefix_once(tmp_path, monkeypatch):
+    path = tmp_path / "data.csv"
+    write_csv(generate(GeneratorSpec(NoiseKind.SCALED_WHITE, d=3, replicates=4, seed=1)), path)
+    calls = []
+
+    def counting_int(cell):
+        calls.append(cell)
+        return int(cell)
+
+    monkeypatch.setattr(synthdata, "int", counting_int, raising=False)
+    records = read_csv(path)
+    assert len(records) == 32 and len(records.inputs) == 8
+    assert len(calls) == 8 * 3
+
+
+def test_csv_bad_target_on_a_parsed_prefix_names_its_row(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("x_0,x_1,y\n0,1,2.0\n1,1,2.5\n0,1,two\n")
+    with pytest.raises(InvalidRecord, match="bad.csv: row 4"):
+        read_csv(path)
 
 
 def test_csv_ragged_row(tmp_path):
