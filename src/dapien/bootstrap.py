@@ -11,9 +11,9 @@ the sigma of a symmetric Student-t interval with B degrees of freedom.
 
 The training records are grouped by input once.  Every fit gets the
 distinct inputs plus a row index per record (``train(..., rows=...)``),
-so the regressors train on per-input cell statistics rather than on the
-records, and fit the same models; the ensemble is evaluated once per
-distinct input.
+so the regressors train on per-input cell statistics, and the cross
+validation that picks each ridge holds out whole inputs, as the test
+split does.  The ensemble is evaluated once per distinct input.
 
 Per-member seeds are ``child_seed(master seed, member index)``, so serial
 and any future parallel member training produce identical models.

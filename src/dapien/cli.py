@@ -272,7 +272,11 @@ def _cmd_generate(args) -> int:
         dataset=args.dataset, d=args.d, replicates=args.replicates, data_seed=args.seed
     )
     records = generate(config.generator_spec())
-    write_csv(records, args.out)
+    try:
+        write_csv(records, args.out)
+    except OSError as exc:
+        log.error("cannot write %s: %s", args.out, exc)
+        return EXIT_RUNTIME
     print(f"wrote {len(records)} samples to {args.out}")
     return EXIT_OK
 
@@ -311,7 +315,14 @@ def _cmd_suite(args) -> int:
         except (OSError, ValueError, TypeError) as exc:
             log.error("bad config %s: %s", path, exc)
             return EXIT_CONFIG
-    rows, status = run_suite(configs, args.out)
+    if not configs:
+        log.error("configs directory %s holds no *.json config", configs_dir)
+        return EXIT_CONFIG
+    try:
+        rows, status = run_suite(configs, args.out)
+    except OSError as exc:
+        log.error("cannot write the suite to %s: %s", args.out, exc)
+        return EXIT_RUNTIME
     print((Path(args.out) / "summary.md").read_text(), end="")
     return status
 

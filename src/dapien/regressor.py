@@ -14,17 +14,18 @@ Training works on cell statistics, not on raw records.  Inputs often
 repeat (``train`` can take each distinct input once, with a row index per
 target), and for squared error the records of one input contribute only
 through their count, mean target and spread about that mean: the summed
-error of an output ``o`` is ``count * (o - mean)**2 + spread``.  So every
-fit sees one row per distinct input, weighted by its record count, and
-finds the same model a fit to the records would; the ridge is scaled by
+error of an output ``o`` is ``count * (o - mean)**2 + spread``.  So each
+fit sums its records into one cell per distinct input once, at its entry,
+and every later step sees one row per cell, weighted by its record count;
+a fit to the cells is the fit to the records, with the ridge scaled by
 the record count, as it would be there.
 
 With ``folds >= 2`` the ridge strength is picked from a fixed grid by
-stratified k-fold cross validation (records ranked by target and dealt
-round-robin into folds; each fold's training and held-out records are then
-summed per input) and the model is refit on all data.  An identity fit
-builds a fold's normal equations once and only adds each ridge strength to
-their diagonal.  Everything is deterministic given the config seed;
+stratified k-fold cross validation over the cells (ranked by mean target
+and dealt round-robin into folds, so a held-out input is never also
+trained on) and the model is refit on all cells.  An identity fit builds
+a fold's normal equations once and only adds each ridge strength to their
+diagonal.  Everything is deterministic given the config seed;
 exponential-output weights start at zero, a safe all-ones prediction.
 
 ``train_positive`` fits a positive target (a spread, shape or rate) and
@@ -39,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -198,7 +200,8 @@ class TrainConfig:
     ``max_iterations`` caps the L-BFGS iterations of the iterative fits
     (exponential outputs); an identity-output fit is an exact solve.
     ``folds`` is the number of cross-validation folds that pick the ridge
-    strength; with ``folds=1`` there is no selection and no ridge.
+    strength and deal whole distinct inputs; with ``folds=1`` there is no
+    selection and no ridge.
     """
 
     max_iterations: int = 500
@@ -316,59 +319,55 @@ def _solve_ridge(G, rhs, ridge):
     return theta[:-1], float(theta[-1])
 
 
-def _as_training_data(xs, ts, activation, rows=None):
-    """Validated inputs, the input row of every target, and the targets.
+class _Cells(NamedTuple):
+    """Distinct inputs with their record count (floats), mean target and spread."""
+
+    inputs: np.ndarray
+    count: np.ndarray
+    mean: np.ndarray
+    spread: np.ndarray
+
+    def where(self, mask) -> "_Cells":
+        return _Cells(*(a[mask] for a in self))
+
+
+def _sum_cells(xs, ts, activation, rows=None) -> _Cells:
+    """Validated training records summed into one cell per input row present.
 
     Without ``rows`` every target has its own input row.  Exponential
-    targets are floored at 1e-9, record by record.
+    targets are floored at 1e-9, record by record, before averaging.
     """
     X = np.asarray(xs, dtype=np.float64)
     t = np.asarray(ts, dtype=np.float64)
-    if rows is None:
-        if X.ndim != 2:
-            X = X.reshape(len(ts), -1)
-        if X.shape[0] != t.size or t.size < 1:
-            raise ValueError(f"got {X.shape[0]} inputs and {t.size} targets")
-        rows = np.arange(t.size)
-    else:
-        if t.size < 1:
-            raise ValueError("got no targets")
-        rows = np.asarray(rows)
-        if rows.dtype.kind not in "iu" or rows.shape != (t.size,) or X.ndim != 2:
-            raise DimensionMismatch(
-                f"need one integer row index per target ({t.size}), got shape "
-                f"{rows.shape} of {rows.dtype}"
-            )
-        if rows.min() < 0 or rows.max() >= X.shape[0]:
-            raise DimensionMismatch(
-                f"row indices must lie in [0, {X.shape[0]}), got "
-                f"[{rows.min()}, {rows.max()}]"
-            )
+    if X.ndim != 2:
+        raise DimensionMismatch(f"inputs must form a (n, dim) matrix, got shape {X.shape}")
+    if t.size < 1 or (rows is None and X.shape[0] != t.size):
+        raise ValueError(f"got {X.shape[0]} inputs and {t.size} targets")
+    rows = np.arange(t.size) if rows is None else np.asarray(rows)
+    if rows.dtype.kind not in "iu" or rows.shape != (t.size,):
+        raise DimensionMismatch(
+            f"need one integer row index per target ({t.size}), got shape "
+            f"{rows.shape} of {rows.dtype}"
+        )
+    if rows.min() < 0 or rows.max() >= X.shape[0]:
+        raise DimensionMismatch(
+            f"row indices must lie in [0, {X.shape[0]}), got [{rows.min()}, {rows.max()}]"
+        )
     if not np.all(np.isfinite(t)):
         raise InvalidTarget("targets must be finite")
     if activation is Activation.EXPONENTIAL:
         t = np.maximum(t, 1e-9)
-    return X, rows, t
-
-
-def _per_input(rows, t):
-    """Records summed into one cell per input row.
-
-    Returns the rows present and, for each, the record count (as floats),
-    the mean target and the summed squared deviation from that mean.  For
-    squared error these are sufficient: an output ``o`` at a cell's input
-    errs by ``count * (o - mean)**2 + spread`` summed over its records.
-    """
-    count = np.bincount(rows).astype(np.float64)
-    mean = np.bincount(rows, weights=t) / np.maximum(count, 1.0)
+    count = np.bincount(rows, minlength=X.shape[0]).astype(np.float64)
+    mean = np.bincount(rows, weights=t, minlength=X.shape[0]) / np.maximum(count, 1.0)
     dev = t - mean[rows]
-    spread = np.bincount(rows, weights=dev * dev, minlength=count.size)
+    spread = np.bincount(rows, weights=dev * dev, minlength=X.shape[0])
     present = count > 0
-    return np.flatnonzero(present), count[present], mean[present], spread[present]
+    return _Cells(X[present], count[present], mean[present], spread[present])
 
 
-def _held_out_error(output, count, mean, spread) -> float:
+def _held_out_error(output, cells: _Cells) -> float:
     """MSE over the records of some cells, given the output at each cell."""
+    _, count, mean, spread = cells
     r = output - mean
     return (float(np.sum(count * r * r)) + float(spread.sum())) / float(count.sum())
 
@@ -387,15 +386,16 @@ def _affine_objective(X, t, c, activation, l2):
     return objective
 
 
-def _ridge_fits(X, c, t, activation, config):
-    """``fit(l2)``: the LinearModel at ridge strength ``l2`` on weighted rows.
+def _ridge_fits(cells: _Cells, activation, config):
+    """``fit(l2)``: the LinearModel at ridge strength ``l2`` on some cells.
 
-    Row ``i`` of ``X`` stands for ``c[i]`` records of mean target ``t[i]``;
-    the ridge is scaled by the record count, as a fit to the records would
-    scale it.  An identity fit solves normal equations built once for
-    every ``l2``; an exponential one runs L-BFGS from zero weights, whose
-    output is all ones.
+    Each cell's input row stands for its records, so the ridge is scaled
+    by the record count, as a fit to the records would scale it.  An
+    identity fit solves normal equations built once for every ``l2``; an
+    exponential one runs L-BFGS from zero weights, whose output is all
+    ones.
     """
+    X, c, t, _ = cells
     if activation is Activation.IDENTITY:
         G, rhs = _normal_equations(X, c, t)
         n = float(c.sum())
@@ -409,52 +409,36 @@ def _ridge_fits(X, c, t, activation, config):
     return fit
 
 
-def _select_l2(X, rows, t, activation, config, fold_of):
-    """Ridge strength from ``L2_GRID`` with the least mean held-out MSE.
-
-    Each fold's training and held-out records are summed per input first.
-    Returns ``(l2, cv_error)``.
-    """
-    k = int(fold_of.max()) + 1
-    errors = [0.0] * len(L2_GRID)
-    for j in range(k):
-        held = fold_of == j
-        inputs, count, mean, _ = _per_input(rows[~held], t[~held])
-        fit = _ridge_fits(X[inputs], count, mean, activation, config)
-        inputs, count, mean, spread = _per_input(rows[held], t[held])
-        for i, l2 in enumerate(L2_GRID):
-            output = fit(l2).output(X[inputs])
-            errors[i] += _held_out_error(output, count, mean, spread)
-    best_l2 = L2_GRID[0]
-    best_err = np.inf
-    for l2, err in zip(L2_GRID, errors):
-        err /= k
-        # only a clear improvement replaces the best: where ridge strengths
-        # tie exactly (a rank-deficient fold), rounding must not pick one
-        if err < best_err * (1.0 - 1e-12):
-            best_err = err
-            best_l2 = l2
-    return best_l2, best_err
+def _folds(cells: _Cells, config):
+    """Fold of every cell for model selection, or None when it is disabled."""
+    k = min(config.folds, cells.mean.size)
+    return stratified_folds(cells.mean, k, config.seed) if k >= 2 else None
 
 
-def _folds(t, config):
-    """Fold assignment for model selection, or None when it is disabled."""
-    k = min(config.folds, t.size)
-    return stratified_folds(t, k, config.seed) if k >= 2 else None
-
-
-def _fit_affine(X, rows, t, activation, config, fold_of):
+def _fit_affine(cells: _Cells, activation, config, fold_of):
     """LinearModel with its ridge picked on ``fold_of``, and that CV error.
 
-    Target ``i`` belongs to input ``X[rows[i]]``.  Without folds there is
-    no ridge and the error is None.
+    The ridge strength is the one of ``L2_GRID`` with the least mean
+    held-out MSE.  Without folds there is no ridge and the error is None.
     """
-    if fold_of is None:
-        l2, cv_error = 0.0, None
-    else:
-        l2, cv_error = _select_l2(X, rows, t, activation, config, fold_of)
-    inputs, count, mean, _ = _per_input(rows, t)
-    return _ridge_fits(X[inputs], count, mean, activation, config)(l2), cv_error
+    l2, cv_error = 0.0, None
+    if fold_of is not None:
+        k = int(fold_of.max()) + 1
+        errors = [0.0] * len(L2_GRID)
+        for j in range(k):
+            held = fold_of == j
+            fit = _ridge_fits(cells.where(~held), activation, config)
+            test = cells.where(held)
+            for i, grid_l2 in enumerate(L2_GRID):
+                errors[i] += _held_out_error(fit(grid_l2).output(test.inputs), test)
+        cv_error = np.inf
+        for grid_l2, err in zip(L2_GRID, errors):
+            err /= k
+            # only a clear improvement replaces the best: where ridge strengths
+            # tie exactly (a rank-deficient fold), rounding must not pick one
+            if err < cv_error * (1.0 - 1e-12):
+                l2, cv_error = grid_l2, err
+    return _ridge_fits(cells, activation, config)(l2), cv_error
 
 
 def train(
@@ -464,13 +448,13 @@ def train(
 
     Without ``rows``, ``xs[i]`` is the input of target ``ts[i]``.  With
     ``rows``, ``xs`` holds distinct inputs and ``xs[rows[i]]`` is the input
-    of ``ts[i]``: repeated inputs are stored once, and the model is the
-    one a fit to ``xs[rows]`` gives, up to rounding.  For the exponential
+    of ``ts[i]``: repeated inputs are stored once.  For the exponential
     output, targets are floored at 1e-9 before training so zero-spread
     groups remain usable.  With ``config.folds >= 2`` the ridge strength
-    is selected from ``L2_GRID`` by stratified cross validation over the
-    targets; with ``folds=1`` the fit has no ridge.  An identity output is
-    an exact solve, an exponential one runs L-BFGS for at most
+    is selected from ``L2_GRID`` by stratified cross validation whose
+    folds deal whole inputs; with ``folds=1`` the fit has no ridge and is
+    the one a fit to ``xs[rows]`` gives, up to rounding.  An identity
+    output is an exact solve, an exponential one runs L-BFGS for at most
     ``config.max_iterations`` iterations.
 
     Raises
@@ -478,10 +462,10 @@ def train(
     InvalidTarget
         On non-finite targets.
     DimensionMismatch
-        When ``rows`` is not one in-range integer index per target.
+        When ``xs`` is not a matrix or ``rows`` not one in-range index per target.
     """
-    X, rows, t = _as_training_data(xs, ts, activation, rows)
-    return _fit_affine(X, rows, t, activation, config, _folds(t, config))[0]
+    cells = _sum_cells(xs, ts, activation, rows)
+    return _fit_affine(cells, activation, config, _folds(cells, config))[0]
 
 
 def hidden_loss_and_gradient(theta, U, t, units, l2):
@@ -618,6 +602,7 @@ def _fit_hidden(X, t, theta0, max_iterations) -> HiddenLayerModel:
 def train_positive(xs, ts, config: TrainConfig):
     """Regressor for a positive parameter: affine or one hidden layer.
 
+    ``xs[i]`` is the input of ``ts[i]``, so every target is its own cell.
     The exponential-output affine model is fit just as ``train`` fits
     it.  With ``config.folds >= 2`` a second candidate, ``HIDDEN_UNITS``
     tanh units with an exponential output trained on the same squared
@@ -629,21 +614,20 @@ def train_positive(xs, ts, config: TrainConfig):
     every positive parameter pays for them; the one refit of a winner gets
     the full ``config.max_iterations``.
     """
-    X, rows, t = _as_training_data(xs, ts, Activation.EXPONENTIAL)
-    fold_of = _folds(t, config)
-    affine, affine_err = _fit_affine(
-        X, rows, t, Activation.EXPONENTIAL, config, fold_of
-    )
+    cells = _sum_cells(xs, ts, Activation.EXPONENTIAL)
+    fold_of = _folds(cells, config)
+    affine, affine_err = _fit_affine(cells, Activation.EXPONENTIAL, config, fold_of)
     if fold_of is None:
         return affine
-    theta0 = _hidden_init(X.shape[1], config.seed)
+    theta0 = _hidden_init(cells.inputs.shape[1], config.seed)
     cv_iterations = min(config.max_iterations, HIDDEN_CV_ITERATIONS)
     k = int(fold_of.max()) + 1
     hidden_err = 0.0
     for j in range(k):
         held = fold_of == j
-        model = _fit_hidden(X[~held], t[~held], theta0, cv_iterations)
-        hidden_err += float(np.mean((model.output(X[held]) - t[held]) ** 2))
+        fit, test = cells.where(~held), cells.where(held)
+        model = _fit_hidden(fit.inputs, fit.mean, theta0, cv_iterations)
+        hidden_err += _held_out_error(model.output(test.inputs), test)
         if hidden_err >= k * affine_err:
             return affine  # no remaining fold can bring its mean below affine_err
-    return _fit_hidden(X, t, theta0, config.max_iterations)
+    return _fit_hidden(cells.inputs, cells.mean, theta0, config.max_iterations)

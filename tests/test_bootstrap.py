@@ -93,11 +93,12 @@ class TestFit:
 
     def test_matches_fits_to_the_resampled_records(self):
         # the reference fits every member to its resampled record rows, as
-        # a fit without the grouping of repeated inputs does
+        # a fit without the grouping of repeated inputs does; without model
+        # selection, where folds would deal inputs rather than records
         samples = generate(
             GeneratorSpec(noise=NoiseKind.SCALED_WHITE, d=6, replicates=8, seed=12)
         )
-        config = TrainConfig(seed=13)
+        config = TrainConfig(folds=1, seed=13)
         model = bootstrap_fit(samples, b=6, config=config)
         X = np.array([s.x for s in samples], dtype=float)
         y = np.array([s.y for s in samples])
@@ -175,6 +176,16 @@ def test_noise_model_overflow_is_a_dapien_error():
     with pytest.raises(InvalidPrediction) as caught:
         bootstrap_predict_interval(broken, (0, 1), 0.95)
     assert isinstance(caught.value, DapienError)
+
+
+def test_rejects_a_member_count_other_than_b():
+    doc = manual_model([1.0, 2.0, 3.0]).to_dict()
+    for b in (2, 4):
+        with pytest.raises(ValueError, match=f"got 3 of b={b}"):
+            BootstrapModel.from_dict({**doc, "b": b})
+    one = manual_model([1.0, 2.0])
+    with pytest.raises(ValueError, match="got 1 of b=1"):
+        BootstrapModel(members=one.members[:1], noise_model=one.noise_model, b=1)
 
 
 def test_rejects_foreign_and_unsupported_documents():

@@ -204,6 +204,16 @@ class TestCommandLine:
                      "--out", str(tmp_path / "suite")])
         assert code == EXIT_CONFIG
 
+    def test_suite_without_configs_is_a_config_error(self, tmp_path, caplog):
+        configs_dir = tmp_path / "configs"
+        configs_dir.mkdir()
+        (configs_dir / "notes.txt").write_text("{}")
+        out = tmp_path / "suite"
+        code = main(["suite", "--configs", str(configs_dir), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "holds no *.json config" in caplog.text
+        assert not out.exists()
+
     def test_generate_defaults_are_the_config_defaults(self, tmp_path):
         assert main(["generate", "--dataset", "B", "--out", str(tmp_path / "cli.csv")]) == EXIT_OK
         write_csv(generate(ExperimentConfig(dataset="B").generator_spec()), tmp_path / "lib.csv")
@@ -238,6 +248,30 @@ class TestCommandLine:
     def test_generate_rejects_unknown_dataset(self, tmp_path):
         code = main(["generate", "--dataset", "Z", "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_CONFIG
+
+    def test_generate_rejects_an_out_of_range_size(self, tmp_path, caplog):
+        code = main(["generate", "--dataset", "A", "--d", "0", "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_CONFIG
+        assert "d must lie in" in caplog.text
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_generate_to_an_unwritable_path_is_a_runtime_error(self, tmp_path, caplog):
+        out = tmp_path / "no" / "such" / "dir" / "x.csv"
+        code = main(["generate", "--dataset", "A", "--d", "3", "--out", str(out)])
+        assert code == EXIT_RUNTIME
+        assert str(out) in caplog.text
+        assert not out.parent.exists()
+
+    def test_suite_to_an_unwritable_path_is_a_runtime_error(self, tmp_path, caplog):
+        configs_dir = tmp_path / "configs"
+        configs_dir.mkdir()
+        (configs_dir / "a.json").write_text(json.dumps({"dataset": "A", "d": 3}))
+        out = tmp_path / "taken"
+        out.write_text("a file, not a directory")
+        code = main(["suite", "--configs", str(configs_dir), "--out", str(out)])
+        assert code == EXIT_RUNTIME
+        assert str(out) in caplog.text
+        assert out.read_text() == "a file, not a directory"
 
     def test_suite_command(self, tmp_path):
         configs_dir = tmp_path / "configs"

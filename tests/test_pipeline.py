@@ -250,6 +250,24 @@ class TestSerialization:
         with pytest.raises(ValueError):
             DapienModel.from_dict({"format": "something-else", "version": 1})
 
+    @pytest.mark.parametrize("ndf", [0.5, 0.999, math.inf, math.nan, -1.0, 0.0])
+    def test_rejects_an_ndf_the_t_quantile_rejects(self, ndf):
+        doc = constant_gaussian_model(1.0, 0.5).to_dict()
+        with pytest.raises(ValueError, match="ndf must be finite and >= 1"):
+            DapienModel.from_dict({**doc, "ndf": ndf})
+        loaded = DapienModel.from_dict({**doc, "ndf": 1.0})
+        assert dapien_predict_interval(loaded, (0, 1, 0), 0.9).width > 0.0
+
+    def test_rejects_a_wrong_model_count_and_a_gamma_ndf(self):
+        gaussian = constant_gaussian_model(1.0, 0.5).to_dict()
+        gamma = constant_gamma_model(1.4, 0.6, -2.0).to_dict()
+        with pytest.raises(ValueError, match="gaussian family needs 2 parameter models, got 3"):
+            DapienModel.from_dict({**gaussian, "models": gamma["models"]})
+        with pytest.raises(ValueError, match="gamma family needs 3 parameter models, got 2"):
+            DapienModel.from_dict({**gamma, "models": gaussian["models"]})
+        with pytest.raises(ValueError, match="ndf must be present exactly"):
+            DapienModel.from_dict({**gamma, "ndf": 20.0})
+
 
 def test_prediction_interval_invariants():
     with pytest.raises(ValueError):

@@ -25,8 +25,8 @@ from dapien.regressor import (
     _held_out_error,
     _lbfgs,
     _normal_equations,
-    _per_input,
     _solve_ridge,
+    _sum_cells,
     child_seed,
     hidden_loss_and_gradient,
     loss_and_gradient,
@@ -204,6 +204,20 @@ class TestGradient:
         train(X, np.repeat(t, c), Activation.EXPONENTIAL, config, rows=rows)
         assert 0 < len(calls) < 500
 
+    def test_exhausted_backtracking_returns_the_start(self):
+        # no step along the descent direction lowers the loss: the line
+        # search gives up after its last backtrack, and so does the fit
+        calls = []
+        theta0 = np.zeros(2)
+
+        def objective(theta):
+            calls.append(theta)
+            return (1.0 if theta.any() else 0.0), np.array([1.0, 0.0])
+
+        got = _lbfgs(objective, theta0, 500)
+        assert len(calls) == 1 + regressor._MAX_BACKTRACKS == 61
+        assert np.array_equal(got, theta0)
+
 
 def lbfgs_losses(X, t, c, l2, max_iterations=60):
     """Exponential-output loss after k L-BFGS iterations from zero, k = 0, 1, ..."""
@@ -317,15 +331,16 @@ class TestWeightedObjective:
         U = rng.integers(0, 2, size=(6, 4)).astype(float)
         rows = rng.integers(0, 6, 50)
         t = rng.uniform(0.1, 3.0, 50)
-        inputs, count, mean, spread = _per_input(rows, t)
+        cells = _sum_cells(U, t, Activation.IDENTITY, rows)
         w, b = rng.normal(0.0, 0.5, 4), 0.3
         loss, gw, gb = loss_and_gradient(
-            w, b, U[inputs], mean, Activation.EXPONENTIAL, 1e-3, weights=count
+            w, b, cells.inputs, cells.mean, Activation.EXPONENTIAL, 1e-3,
+            weights=cells.count,
         )
         ref_loss, ref_gw, ref_gb = loss_and_gradient(
             w, b, U[rows], t, Activation.EXPONENTIAL, 1e-3
         )
-        assert loss + spread.sum() / 50 == pytest.approx(ref_loss, rel=1e-12)
+        assert loss + cells.spread.sum() / 50 == pytest.approx(ref_loss, rel=1e-12)
         assert np.allclose(gw, ref_gw, rtol=1e-12, atol=1e-14)
         assert gb == pytest.approx(ref_gb, rel=1e-12)
 
@@ -356,25 +371,26 @@ def targets(n, low, high):
 
 
 class TestTrainOnRows:
-    """``train(U, t, rows=g)`` is ``train(U[g], t)``, however inputs repeat."""
+    """``train(U, t, rows=g)`` is ``train(U[g], t)`` without model selection,
+    however inputs repeat; with it, folds deal whole inputs."""
 
     @settings(max_examples=40)
-    @given(data=st.data(), folds=st.sampled_from([1, 5]))
-    def test_identity_matches_the_records_fit(self, data, folds):
+    @given(data=st.data())
+    def test_identity_matches_the_records_fit(self, data):
         U, rows = data.draw(repeated_inputs())
         t = data.draw(targets(rows.size, -3.0, 3.0))
-        config = TrainConfig(folds=folds, seed=3)
+        config = TrainConfig(folds=1, seed=3)
         cells = train(U, t, Activation.IDENTITY, config, rows=rows)
         records = train(U[rows], t, Activation.IDENTITY, config)
         assert np.all(np.abs(cells.weights - records.weights) <= 1e-9)
         assert abs(cells.bias - records.bias) <= 1e-9
 
     @settings(max_examples=25)
-    @given(data=st.data(), folds=st.sampled_from([1, 5]))
-    def test_exponential_matches_the_records_fit(self, data, folds):
+    @given(data=st.data())
+    def test_exponential_matches_the_records_fit(self, data):
         U, rows = data.draw(repeated_inputs())
         t = data.draw(targets(rows.size, 0.1, 5.0))
-        config = TrainConfig(folds=folds, seed=3)
+        config = TrainConfig(folds=1, seed=3)
         cells = train(U, t, Activation.EXPONENTIAL, config, rows=rows)
         records = train(U[rows], t, Activation.EXPONENTIAL, config)
         want = np.append(records.weights, records.bias)
@@ -387,25 +403,55 @@ class TestTrainOnRows:
         U, rows = data.draw(repeated_inputs())
         t = data.draw(targets(rows.size, -50.0, 50.0))
         output = data.draw(targets(U.shape[0], -50.0, 50.0))
-        inputs, count, mean, spread = _per_input(rows, t)
-        got = _held_out_error(output[inputs], count, mean, spread)
+        cells = _sum_cells(U, t, Activation.IDENTITY, rows)
+        assert np.array_equal(cells.inputs, U)  # every input has records
+        got = _held_out_error(output, cells)
         want = float(np.mean((output[rows] - t) ** 2))
         assert abs(got - want) <= 1e-12 * max(want, 1e-300)
 
     def test_tied_ridge_strengths_keep_the_first(self):
-        # one input: ridge 0 (minimum norm) and a positive ridge fit the same
-        # outputs with different weights, and every fold's held-out errors
-        # tie; rounding must not choose between them
+        # records of one repeated input: ridge 0 (minimum norm) and a
+        # positive ridge fit the same outputs with different weights, and
+        # every fold's held-out errors tie; rounding must not choose between
+        # them, so the fit is the unselected one
         rng = np.random.default_rng(47)
         U = np.array([[1.0]])
-        config = TrainConfig(folds=5, seed=0)
         for _ in range(100):
             t = rng.uniform(-3.0, 3.0, int(rng.integers(5, 9)))
             rows = np.zeros(t.size, dtype=np.int64)
-            cells = train(U, t, Activation.IDENTITY, config, rows=rows)
-            records = train(U[rows], t, Activation.IDENTITY, config)
-            assert abs(cells.weights[0] - records.weights[0]) <= 1e-9
-            assert abs(cells.bias - records.bias) <= 1e-9
+            unselected = train(
+                U, t, Activation.IDENTITY, TrainConfig(folds=1, seed=0), rows=rows
+            )
+            records = train(U[rows], t, Activation.IDENTITY, TrainConfig(folds=5, seed=0))
+            assert abs(unselected.weights[0] - records.weights[0]) <= 1e-9
+            assert abs(unselected.bias - records.bias) <= 1e-9
+
+    @pytest.mark.parametrize("activation", list(Activation))
+    def test_folds_deal_whole_inputs(self, monkeypatch, activation):
+        # every fold fit trains on the cells of all inputs but one fold's;
+        # with folds dealt over records, each input would sit in every one
+        rng = np.random.default_rng(53)
+        U = full_design(4)
+        rows = rng.permutation(np.repeat(np.arange(16), rng.integers(2, 7, 16)))
+        t = rng.uniform(0.5, 3.0, rows.size)
+        trained_on = []
+        original = regressor._ridge_fits
+
+        def spy(cells, activation, config):
+            trained_on.append(cells.inputs)
+            return original(cells, activation, config)
+
+        monkeypatch.setattr(regressor, "_ridge_fits", spy)
+        train(U, t, activation, TrainConfig(folds=5, seed=0), rows=rows)
+        *fold_fits, refit = trained_on
+        assert len(fold_fits) == 5 and np.array_equal(refit, U)
+        for u in U:
+            absent = [not (X == u).all(axis=1).any() for X in fold_fits]
+            assert sum(absent) == 1
+
+    def test_a_non_matrix_input_is_a_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            train([0.0, 1.0, 1.0], [1.0, 2.0, 3.0], Activation.IDENTITY, TrainConfig())
 
     def test_exponential_targets_are_floored_per_record(self):
         # each record is floored before the cell averages it: a cell holding

@@ -206,6 +206,21 @@ def test_csv_unparsable_cell_names_file_and_row(tmp_path, row):
     assert isinstance(caught.value, DapienError) and isinstance(caught.value, ValueError)
 
 
+def test_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("x_0,x_1,y\n0,1,2.0\n\n1,0,3.0\n\n")
+    records = read_csv(path)
+    assert records.inputs == ((0, 1), (1, 0))
+    assert records.targets.tolist() == [2.0, 3.0]
+
+
+def test_csv_empty_file(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    with pytest.raises(InvalidRecord, match="empty.csv: empty file"):
+        read_csv(path)
+
+
 def test_csv_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n0,1\n")
