@@ -4,9 +4,12 @@ The gamma family is parameterised by shape ``alpha``, rate ``beta`` and
 location ``mu``; its density is ``beta^alpha / Gamma(alpha) *
 (t - mu)^(alpha-1) * exp(-beta * (t - mu))`` on ``t > mu``.  All cumulative
 probabilities are evaluated through a series / continued-fraction expansion
-of the regularised incomplete gamma function, and quantiles are obtained by
-bracketed bisection on that CDF; no closed forms are assumed.  Student's t
-critical values go through the regularised incomplete beta function.
+of the regularised incomplete gamma function; no closed forms are assumed.
+Student's t critical values go through the regularised incomplete beta
+function.  Both are inverted by one safeguarded Newton iteration (Newton
+steps inside an analytic bracket, bisection where a step would leave it),
+whose slope is the density, and which starts from a normal-based
+approximation: Cornish-Fisher for t, Wilson-Hilferty for gamma.
 
 Everything here is a pure function of its inputs; the parameter containers
 are frozen and safe to share across threads.
@@ -15,6 +18,7 @@ are frozen and safe to share across threads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -24,6 +28,11 @@ from .errors import DegenerateGroup, DomainError, EmptyGroup, NonConvergence
 
 _MACHEP = 2.22e-16
 _MAX_ITER = 400
+_NEWTON_MAX_ITER = 100  # pure bisection of the widest bracket collapses in about 60
+_NEWTON_TOL = 1e-15
+_NEWTON_STEP = 1e-8
+_SQRT_HALF = math.sqrt(0.5)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 class DistFamily(Enum):
@@ -40,6 +49,14 @@ def _everywhere(condition) -> bool:
     float's check in plain Python, several times faster than NumPy.
     """
     return bool(condition.all()) if isinstance(condition, np.ndarray) else bool(condition)
+
+
+def _valid_ndf(ndf) -> bool:
+    """Whether ``ndf`` is a real number (a bool is not one), finite and >= 1."""
+    return (
+        isinstance(ndf, numbers.Real) and not isinstance(ndf, bool)
+        and math.isfinite(ndf) and ndf >= 1.0
+    )
 
 
 @dataclass(frozen=True)
@@ -163,7 +180,7 @@ def _reg_inc_beta(a, b, x):
         return 1.0
     front = math.exp(
         math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log(1.0 - x)
+        + a * math.log(x) + b * math.log1p(-x)
     )
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _betacf(a, b, x) / a
@@ -193,6 +210,59 @@ def _trigamma(x):
     result += inv * (1.0 + 0.5 * inv)
     result += inv * inv2 * (1.0 / 6.0 - inv2 * (1.0 / 30.0 - inv2 * (1.0 / 42.0 - inv2 / 30.0)))
     return result
+
+
+def _invert(cdf, p, x, lo, hi):
+    """The point where the increasing ``cdf`` reaches ``p``, by safeguarded Newton.
+
+    ``cdf(x)`` returns the probability and its slope, and must lie below
+    ``p`` at ``lo`` and above it at ``hi``.  These analytic bounds can be
+    exact, so they are widened by 1e-9 to keep a root on one of them inside
+    despite rounding.  A Newton step is taken where it lands inside the
+    current bracket, a bisection otherwise (``rtsafe`` in Numerical
+    Recipes).  Iteration stops once the residual is within 1e-15 of ``p``
+    relative, a Newton step is below 1e-8, or the bracket has collapsed.
+    Near the root convergence is quadratic, so a step below 1e-8 leaves an
+    error near its square, and the CDF's own rounding noise (about 1e-11
+    relative for t at ndf = 1e6) cannot keep the loop going.
+    """
+    lo, hi = lo - 1e-9, hi + 1e-9
+    for _ in range(_NEWTON_MAX_ITER):
+        value, slope = cdf(x)
+        residual = value - p
+        if abs(residual) <= _NEWTON_TOL * p:
+            return x
+        if residual < 0.0:
+            lo = x
+        else:
+            hi = x
+        step = residual / slope if slope > 0.0 else math.inf
+        if lo < x - step < hi:
+            x -= step
+            if abs(step) <= _NEWTON_STEP:
+                return x
+        else:
+            x = 0.5 * (lo + hi)
+            if hi - lo <= _NEWTON_TOL or not lo < x < hi:
+                return x
+    return x
+
+
+def _normal_quantile(p):
+    """Standard normal quantile for p in (0, 1), by Newton on ``math.erfc``."""
+    if p > 0.5:  # 1 - p is exact, and the lower tail keeps relative precision
+        return -_normal_quantile(1.0 - p)
+    # Abramowitz & Stegun 26.2.23 (absolute error below 4.5e-4) as the start
+    t = math.sqrt(-2.0 * math.log(p))
+    z = (2.515517 + t * (0.802853 + t * 0.010328)) / (
+        1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308))
+    ) - t
+
+    def cdf(x):
+        return 0.5 * math.erfc(-x * _SQRT_HALF), math.exp(-0.5 * x * x - _LOG_SQRT_2PI)
+
+    # the normal CDF is 0 below -40 in double precision
+    return _invert(cdf, p, z, -40.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -231,37 +301,53 @@ def t_quantile(confidence: float, ndf: float) -> float:
     """Two-sided Student-t critical value: P(|T_ndf| <= c) = confidence.
 
     ``ndf`` may be any real >= 1; large values converge to the Gaussian
-    critical value.  Accurate to well below 1e-6.
+    critical value.  Solved by Newton on log(c), from the Cornish-Fisher
+    expansion of the normal critical value, inside the bracket that the
+    density at 0 and the Cauchy (ndf = 1) critical value give.  The result
+    is as accurate as the incomplete beta function allows: within 1e-12
+    relative for ndf up to 100, degrading to about 1e-9 at ndf = 1e6.
     """
     if not (0.0 < confidence < 1.0):
         raise DomainError(f"confidence must lie in (0, 1), got {confidence}")
-    if not (math.isfinite(ndf) and ndf >= 1.0):
-        raise DomainError(f"ndf must be finite and >= 1, got {ndf}")
-    # P(|T| <= c) = 1 - I_x(ndf/2, 1/2) with x = ndf / (ndf + c^2)
-    target = confidence
+    if not _valid_ndf(ndf):
+        raise DomainError(f"ndf must be finite and >= 1 (a real, not a bool), got {ndf!r}")
+    half = 0.5 * ndf
+    # log of twice the density at 0, the slope of P(|T| <= c) there
+    log_slope0 = (
+        math.log(2.0) + math.lgamma(half + 0.5) - math.lgamma(half)
+        - 0.5 * math.log(ndf * math.pi)
+    )
 
-    def two_sided(c):
-        x = ndf / (ndf + c * c)
-        return 1.0 - _reg_inc_beta(0.5 * ndf, 0.5, x)
-
-    hi = 1.0
-    for _ in range(300):
-        if two_sided(hi) >= target:
-            break
-        hi *= 2.0
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f = two_sided(mid)
-        if abs(f - target) <= 1e-13:
-            return mid
-        if f < target:
-            lo = mid
+    def two_sided(r):
+        # P(|T| <= c) = I_y(1/2, ndf/2) = 1 - I_(1-y)(ndf/2, 1/2) with
+        # y = c^2 / (ndf + c^2), c = e^r; the smaller of y and 1 - y is the
+        # one that keeps its relative precision as an argument
+        c2 = math.exp(2.0 * r)
+        if c2 < ndf:
+            value = _reg_inc_beta(0.5, half, c2 / (ndf + c2))
         else:
-            hi = mid
-        if hi - lo <= 1e-12 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+            value = 1.0 - _reg_inc_beta(half, 0.5, ndf / (ndf + c2))
+        return value, math.exp(log_slope0 + r - (half + 0.5) * math.log1p(c2 / ndf))
+
+    z = -_normal_quantile(0.5 * (1.0 - confidence))
+    z2 = z * z
+    # Cornish-Fisher: Abramowitz & Stegun 26.7.5 in powers of 1/ndf
+    start = z * (1.0 + (
+        (z2 + 1.0) / 4.0 + (
+            ((5.0 * z2 + 16.0) * z2 + 3.0) / 96.0 + (
+                (((3.0 * z2 + 19.0) * z2 + 17.0) * z2 - 15.0) / 384.0
+                + ((((79.0 * z2 + 776.0) * z2 + 1482.0) * z2 - 1920.0) * z2 - 945.0) / 92160.0 / ndf
+            ) / ndf
+        ) / ndf
+    ) / ndf)
+    # P(|T| <= c) <= c * 2 f(0), and t critical values fall with ndf, from
+    # the Cauchy value at ndf = 1 towards the normal value z
+    lo = math.log(confidence) - log_slope0
+    if z > 0.0:  # 0 where confidence is below double resolution at 1
+        lo = max(lo, math.log(z))
+    hi = math.log(math.tan(0.5 * math.pi * confidence))
+    start = math.log(start) if start > 0.0 else lo
+    return math.exp(_invert(two_sided, confidence, min(max(start, lo), hi), lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -276,46 +362,48 @@ def gamma_cdf(z: float, params: GammaParams) -> float:
 
 
 def gamma_inverse_cdf(p: float, params: GammaParams) -> float:
-    """Quantile z with gamma CDF(z) = p, by bracketed bisection.
+    """Quantile z with gamma CDF(z) = p, by safeguarded Newton.
 
-    Inversion happens in location-shifted coordinates so the result is
-    exactly equivariant under location shifts, and the bisection runs on
-    the log of the shifted argument, which keeps small-shape quantiles
-    (far below the distribution scale) resolvable.  Iteration stops once
-    the bracketing probabilities agree with ``p`` to ~1e-13 or the bracket
-    collapses, comfortably inside the 1e-10 contract.
+    The standard gamma quantile x = rate * (z - location) is found on log(x),
+    which keeps small-shape quantiles (far below the distribution scale)
+    resolvable, then shifted by the location, so the result is exactly
+    equivariant under location shifts.  Newton starts from Wilson-Hilferty
+    (shape above 1) or a power-law start (shape up to 1) inside an analytic
+    bracket; its results agree with scipy to about 1e-13 relative, well
+    inside the 1e-10 contract.
     """
     if not (math.isfinite(p) and 0.0 < p < 1.0):
         raise DomainError(f"probability must lie in (0, 1), got {p}")
 
-    a, rate = params.shape, params.rate
-
-    def cdf0(u):
-        return _reg_lower_gamma(a, rate * u)
-
-    hi = max(a / rate, 1.0 / rate)
-    for _ in range(400):
-        if cdf0(hi) >= p:
-            break
-        hi *= 2.0
+    a, log_rate = params.shape, math.log(params.rate)
     tiny = 1e-308
-    if cdf0(tiny) >= p:  # quantile below double resolution
-        return params.location + tiny
-    log_lo = math.log(tiny)
-    log_hi = math.log(hi)
-    mid = 0.5 * (log_lo + log_hi)
-    for _ in range(300):
-        mid = 0.5 * (log_lo + log_hi)
-        f = cdf0(math.exp(mid))
-        if abs(f - p) <= 1e-13:
-            break
-        if f < p:
-            log_lo = mid
+    # P(a, x) <= x^a / Gamma(a + 1) bounds the quantile from below
+    lo = (math.log(p) + math.lgamma(a + 1.0)) / a
+    if lo <= log_rate + math.log(tiny):
+        if _reg_lower_gamma(a, params.rate * tiny) >= p:  # quantile below double resolution
+            return params.location + tiny
+        lo = log_rate + math.log(tiny)
+    # the right tail is sub-gamma: P(X > a + sqrt(2 a t) + t) <= e^-t
+    t = -math.log1p(-p)
+    hi = math.log(a + math.sqrt(2.0 * a * t) + t)
+
+    if a > 1.0:  # Wilson-Hilferty
+        w = 1.0 - 1.0 / (9.0 * a) + _normal_quantile(p) / (3.0 * math.sqrt(a))
+        start = math.log(a) + 3.0 * math.log(w) if w > 0.0 else lo
+    else:  # Numerical Recipes' start for invgammp at shape <= 1
+        knee = 1.0 - a * (0.253 + 0.12 * a)
+        if p < knee:
+            start = math.log(p / knee) / a
         else:
-            log_hi = mid
-        if log_hi - log_lo <= 1e-14:
-            break
-    return params.location + math.exp(mid)
+            start = math.log(1.0 - math.log1p(-(p - knee) / (1.0 - knee)))
+    lga = math.lgamma(a)
+
+    def cdf(y):
+        x = math.exp(y)
+        return _reg_lower_gamma(a, x), math.exp(a * y - x - lga)
+
+    y = _invert(cdf, p, min(max(start, lo), hi), lo, hi)
+    return params.location + math.exp(y - log_rate)
 
 
 def gamma_interval(params: GammaParams, confidence: float):
@@ -324,11 +412,14 @@ def gamma_interval(params: GammaParams, confidence: float):
         raise DomainError(f"confidence must lie in (0, 1), got {confidence}")
     # each element is inverted on Python floats, 2-3x faster than NumPy scalars
     fields = np.array([params.shape, params.rate, params.location])
+    shape = fields.shape[1:]
     rows = [GammaParams(*row) for row in fields.reshape(3, -1).T.tolist()]
-    return tuple(
-        np.array([gamma_inverse_cdf(p, row) for row in rows]).reshape(fields.shape[1:])[()]
+    bounds = (
+        np.array([gamma_inverse_cdf(p, row) for row in rows]).reshape(shape)
         for p in (0.5 * (1.0 - confidence), 0.5 * (1.0 + confidence))
     )
+    # a 0-d array's tolist() is a Python float, so one input gets float bounds
+    return tuple(b if shape else b.tolist() for b in bounds)
 
 
 def _gamma_loglik(z_sum, logz_sum, n, shape, rate):

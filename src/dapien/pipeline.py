@@ -34,6 +34,7 @@ from .distributions import (
     GammaParams,
     GaussianParams,
     _everywhere,
+    _valid_ndf,
     gamma_interval,
     gaussian_interval,
     t_quantile,
@@ -117,9 +118,9 @@ class DapienModel(ModelDocument):
     ``param_models`` order is (mean, sigma) for the Gaussian family and
     (shape, rate, location) for the gamma family.  Each is a
     ``LinearModel``, except that a positive parameter's may be a
-    ``HiddenLayerModel``.  ``ndf`` is the mean training group size, so finite
-    and at least 1; it is present exactly for the Gaussian family, where it
-    feeds the t critical value.
+    ``HiddenLayerModel``.  ``ndf`` is the mean training group size, so a
+    finite real (not a bool) and at least 1; it is present exactly for the
+    Gaussian family, where it feeds the t critical value.
     """
 
     FORMAT = "dapien-model"
@@ -139,8 +140,10 @@ class DapienModel(ModelDocument):
             )
         if (self.ndf is None) == (self.family is DistFamily.GAUSSIAN):
             raise ValueError("ndf must be present exactly for the Gaussian family")
-        if self.ndf is not None and not (math.isfinite(self.ndf) and self.ndf >= 1.0):
-            raise ValueError(f"ndf must be finite and >= 1, got {self.ndf}")
+        if self.ndf is not None and not _valid_ndf(self.ndf):
+            raise ValueError(
+                f"ndf must be finite and >= 1 (a real, not a bool), got {self.ndf!r}"
+            )
 
     @property
     def dim(self) -> int:

@@ -10,6 +10,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from scipy import stats
 
 from dapien import distributions
 from dapien.distributions import (
@@ -32,12 +35,20 @@ def spy(monkeypatch, name):
     returns = []
     original = getattr(distributions, name)
 
-    def wrapper(z):
-        returns.append(original(z))
+    def wrapper(*args):
+        returns.append(original(*args))
         return returns[-1]
 
     monkeypatch.setattr(distributions, name, wrapper)
     return returns
+
+
+# the grids on which each quantile's cost and accuracy are pinned
+T_CONFIDENCES = (0.5, 0.8, 0.9, 0.95, 0.99, 0.999)
+T_NDFS = tuple(np.geomspace(1.0, 1e6, 25).tolist())
+GAMMA_SHAPES = (0.01, 0.03, 0.1, 0.2, 0.5, 1.0, 1.5, 3.0, 10.0, 30.0, 100.0, 300.0)
+GAMMA_RATES = (1e-3, 1.0, 1e3)
+GAMMA_PS = (0.005, 0.025, 0.05, 0.1, 0.5, 0.9, 0.95, 0.975, 0.995)
 
 
 class TestFitGaussian:
@@ -66,6 +77,30 @@ class TestFitGaussian:
         params = fit_gaussian(ys)
         assert abs(params.mean - 5.0) < 0.01
         assert abs(params.variance - 0.04) < 0.002
+
+
+group_values = st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=50)
+
+
+@given(ys=group_values, factor=st.floats(1e-3, 1e3))
+def test_fit_gaussian_is_scale_equivariant(ys, factor):
+    base = fit_gaussian(ys)
+    scaled = fit_gaussian([factor * y for y in ys])
+    scale = max(abs(y) for y in ys)
+    assert abs(scaled.mean - factor * base.mean) <= 1e-12 * factor * scale
+    assert abs(scaled.variance - factor**2 * base.variance) <= 1e-12 * (factor * scale) ** 2
+
+
+@given(ys=group_values, factor=st.floats(1e-3, 1e3))
+def test_fit_gamma_is_scale_equivariant(ys, factor):
+    # spreads well above the 1e-9 location offset floor, which no scale maps
+    assume(max(ys) - min(ys) >= 1e-3 * max(1.0, max(abs(y) for y in ys)))
+    base = fit_gamma(ys)
+    scaled = fit_gamma([factor * y for y in ys])
+    assert math.isclose(scaled.shape, base.shape, rel_tol=1e-9)
+    assert math.isclose(scaled.rate * factor, base.rate, rel_tol=1e-9)
+    scale = max(abs(y) for y in ys)
+    assert abs(scaled.location - factor * base.location) <= 1e-9 * factor * scale
 
 
 class TestFitGamma:
@@ -180,6 +215,49 @@ class TestGammaQuantiles:
                     assert z > 0.0
                     assert abs(gamma_cdf(z, params) - p) < 1e-8
 
+    def test_newton_cost_and_agreement_with_scipy(self, monkeypatch):
+        # bisection took 40-60 CDF evaluations per quantile; safeguarded
+        # Newton takes at most 6 on this grid, so 16 leaves room but fails
+        # a silent fallback to bisection
+        calls = spy(monkeypatch, "_reg_lower_gamma")
+        for shape in GAMMA_SHAPES:
+            for rate in GAMMA_RATES:
+                for p in GAMMA_PS:
+                    calls.clear()
+                    z = gamma_inverse_cdf(p, GammaParams(shape, rate, 0.0))
+                    assert len(calls) <= 16, (shape, rate, p, len(calls))
+                    ref = stats.gamma.ppf(p, shape, scale=1.0 / rate)
+                    assert abs(z - ref) <= 1e-11 * ref, (shape, rate, p)
+
+    def test_quantile_below_double_resolution(self):
+        # P(0.001, 1e-308) is about 0.49: every lower quantile rounds to the floor
+        params = GammaParams(0.001, 1.0, 0.0)
+        assert gamma_inverse_cdf(0.1, params) == 1e-308
+        assert gamma_inverse_cdf(0.9, params) > 1e-308
+
+    @given(
+        shape=st.floats(0.01, 300.0), rate=st.floats(1e-3, 1e3),
+        location=st.floats(-1e3, 1e3), p=st.floats(1e-3, 0.999),
+        gap=st.floats(1e-6, 0.5),
+    )
+    def test_increasing_and_exactly_location_equivariant(self, shape, rate, location, p, gap):
+        assume(p + gap < 0.999)
+        base = GammaParams(shape, rate, 0.0)
+        z = gamma_inverse_cdf(p, base)
+        assert gamma_inverse_cdf(p + gap, base) > z
+        assert gamma_inverse_cdf(p, GammaParams(shape, rate, location)) == location + z
+
+    @given(
+        shape=st.floats(0.01, 300.0), rate=st.floats(1e-3, 1e3),
+        factor=st.floats(1e-2, 1e2), p=st.floats(1e-3, 0.999),
+    )
+    def test_rate_equivariance_and_round_trip(self, shape, rate, factor, p):
+        params = GammaParams(shape, rate, 0.0)
+        z = gamma_inverse_cdf(p, params)
+        scaled = gamma_inverse_cdf(p, GammaParams(shape, rate * factor, 0.0))
+        assert abs(scaled * factor - z) <= 1e-12 * z
+        assert abs(gamma_cdf(z, params) - p) <= 1e-12
+
     def test_location_equivariance(self):
         base = GammaParams(2.0, 3.0, 0.0)
         for delta in (-7.5, 0.25, 1e3):
@@ -219,6 +297,41 @@ class TestTQuantile:
         with pytest.raises(DomainError):
             t_quantile(0.95, 0.5)
 
+    @pytest.mark.parametrize("ndf", [True, np.bool_(True), "20", None])
+    def test_rejects_an_ndf_that_is_not_a_real(self, ndf):
+        with pytest.raises(DomainError, match="not a bool"):
+            t_quantile(0.95, ndf)
+
+    def test_newton_cost_and_agreement_with_scipy(self, monkeypatch):
+        # bisection took 40-60 CDF evaluations per critical value; Newton
+        # from the Cornish-Fisher start takes at most 6 on this grid
+        calls = spy(monkeypatch, "_reg_inc_beta")
+        for confidence in T_CONFIDENCES:
+            for ndf in T_NDFS:
+                calls.clear()
+                c = t_quantile(confidence, ndf)
+                assert len(calls) <= 24, (confidence, ndf, len(calls))
+                # beyond ndf 1000 the incomplete beta itself loses digits
+                if ndf <= 1000.0:
+                    ref = stats.t.ppf(0.5 + 0.5 * confidence, ndf)
+                    assert abs(c - ref) <= 1e-10 * ref, (confidence, ndf)
+
+    @given(
+        confidence=st.floats(0.01, 0.999), ndf=st.floats(1.0, 1e6),
+        gap=st.floats(1e-6, 0.5), ratio=st.floats(1.01, 100.0),
+    )
+    def test_increases_in_confidence_and_decreases_in_ndf(self, confidence, ndf, gap, ratio):
+        assume(confidence + gap < 0.999 and ndf * ratio <= 1e6)
+        c = t_quantile(confidence, ndf)
+        assert t_quantile(confidence + gap, ndf) > c
+        assert t_quantile(confidence, ndf * ratio) < c
+
+
+def test_normal_quantile_against_scipy():
+    for p in (1e-300, 1e-10, 0.001, 0.025, 0.3, 0.5, 0.7, 0.975, 0.999, 1.0 - 1e-12):
+        z = distributions._normal_quantile(p)
+        assert abs(z - stats.norm.ppf(p)) <= 1e-13 * max(1.0, abs(z)), p
+
 
 class TestIntervals:
     def test_gaussian_zero_width(self):
@@ -246,6 +359,15 @@ class TestIntervals:
         shifted = gamma_interval(GammaParams(1.0, 1.0, 10.0), 0.95)
         assert abs(shifted[0] - base[0] - 10.0) < 1e-9
         assert abs(shifted[1] - base[1] - 10.0) < 1e-9
+
+    def test_gamma_bounds_are_floats_for_one_input_and_arrays_for_a_matrix(self):
+        lo, hi = gamma_interval(GammaParams(1.3, 0.7, 2.0), 0.95)
+        assert type(lo) is float and type(hi) is float
+        fields = [np.full((2, 3), v) for v in (1.3, 0.7, 2.0)]
+        bounds = gamma_interval(GammaParams(*fields), 0.95)
+        for bound, one in zip(bounds, (lo, hi)):
+            assert type(bound) is np.ndarray and bound.shape == (2, 3)
+            assert (bound == one).all()
 
     def test_gamma_against_quadrature_oracle(self):
         lo, hi = gamma_interval(GammaParams(4.0, 2.0, 0.0), 0.90)

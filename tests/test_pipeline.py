@@ -258,6 +258,12 @@ class TestSerialization:
         loaded = DapienModel.from_dict({**doc, "ndf": 1.0})
         assert dapien_predict_interval(loaded, (0, 1, 0), 0.9).width > 0.0
 
+    @pytest.mark.parametrize("ndf", ["20", True])
+    def test_rejects_an_ndf_that_is_not_a_real(self, ndf):
+        doc = constant_gaussian_model(1.0, 0.5).to_dict()
+        with pytest.raises(ValueError, match="not a bool"):
+            DapienModel.from_dict({**doc, "ndf": ndf})
+
     def test_rejects_a_wrong_model_count_and_a_gamma_ndf(self):
         gaussian = constant_gaussian_model(1.0, 0.5).to_dict()
         gamma = constant_gamma_model(1.4, 0.6, -2.0).to_dict()
