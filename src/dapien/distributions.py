@@ -17,6 +17,7 @@ are frozen and safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -33,6 +34,8 @@ _NEWTON_TOL = 1e-15
 _NEWTON_STEP = 1e-8
 _SQRT_HALF = math.sqrt(0.5)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_LOG_GAMMA_HALF = math.lgamma(0.5)
+_T_CACHE_SIZE = 256  # distinct (confidence, ndf) pairs kept; a fitted model uses one ndf
 
 
 class DistFamily(Enum):
@@ -172,16 +175,30 @@ def _betacf(a, b, x):
     return h
 
 
-def _reg_inc_beta(a, b, x):
-    """Regularised incomplete beta I_x(a, b) for a, b > 0 and x in [0, 1]."""
+def _log_gamma_half_ratio(b):
+    """``log(Gamma(b + 1/2) / Gamma(b))`` for b > 0, to full relative precision.
+
+    The difference of two ``lgamma`` values near ``b log b`` loses about
+    ``log10(2 b)`` digits, so from b = 30 on the asymptotic series in 1/b
+    (DLMF 5.11.13, through the Bernoulli polynomials at 1/2 and 0) is used;
+    six terms reach double precision there.
+    """
+    if b < 30.0:
+        return math.lgamma(b + 0.5) - math.lgamma(b)
+    inv = 1.0 / b
+    inv2 = inv * inv
+    return 0.5 * math.log(b) - inv * (1.0 / 8.0 - inv2 * (1.0 / 192.0 - inv2 * (
+        1.0 / 640.0 - inv2 * (17.0 / 14336.0 - inv2 * (31.0 / 18432.0 - inv2 * 691.0 / 180224.0))
+    )))
+
+
+def _reg_inc_beta(a, b, x, log_beta):
+    """Regularised incomplete beta I_x(a, b) for x in [0, 1], given log B(a, b)."""
     if x <= 0.0:
         return 0.0
     if x >= 1.0:
         return 1.0
-    front = math.exp(
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
+    front = math.exp(-log_beta + a * math.log(x) + b * math.log1p(-x))
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _betacf(a, b, x) / a
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b
@@ -304,19 +321,30 @@ def t_quantile(confidence: float, ndf: float) -> float:
     critical value.  Solved by Newton on log(c), from the Cornish-Fisher
     expansion of the normal critical value, inside the bracket that the
     density at 0 and the Cauchy (ndf = 1) critical value give.  The result
-    is as accurate as the incomplete beta function allows: within 1e-12
-    relative for ndf up to 100, degrading to about 1e-9 at ndf = 1e6.
+    agrees with ``scipy.stats.t.ppf`` within about 1e-11 relative for every
+    ndf from 1 to 1e6 (confidences 0.5-0.999).
+
+    A fitted model's ndf never changes, so each critical value is solved
+    once per process: a bounded LRU of ``_T_CACHE_SIZE`` recently used
+    ``(confidence, ndf)`` pairs keeps them, keyed on floats only after both
+    arguments pass the checks below (a bool, equal and hashing alike to
+    1.0, is rejected before the cache).
     """
     if not (0.0 < confidence < 1.0):
         raise DomainError(f"confidence must lie in (0, 1), got {confidence}")
     if not _valid_ndf(ndf):
         raise DomainError(f"ndf must be finite and >= 1 (a real, not a bool), got {ndf!r}")
+    return _t_critical(float(confidence), float(ndf))
+
+
+@functools.lru_cache(maxsize=_T_CACHE_SIZE)
+def _t_critical(confidence: float, ndf: float) -> float:
+    """The critical value of :func:`t_quantile` for checked float arguments."""
     half = 0.5 * ndf
+    log_gamma_ratio = _log_gamma_half_ratio(half)
+    log_beta = _LOG_GAMMA_HALF - log_gamma_ratio  # log B(1/2, ndf/2) = log B(ndf/2, 1/2)
     # log of twice the density at 0, the slope of P(|T| <= c) there
-    log_slope0 = (
-        math.log(2.0) + math.lgamma(half + 0.5) - math.lgamma(half)
-        - 0.5 * math.log(ndf * math.pi)
-    )
+    log_slope0 = math.log(2.0) + log_gamma_ratio - 0.5 * math.log(ndf * math.pi)
 
     def two_sided(r):
         # P(|T| <= c) = I_y(1/2, ndf/2) = 1 - I_(1-y)(ndf/2, 1/2) with
@@ -324,9 +352,9 @@ def t_quantile(confidence: float, ndf: float) -> float:
         # one that keeps its relative precision as an argument
         c2 = math.exp(2.0 * r)
         if c2 < ndf:
-            value = _reg_inc_beta(0.5, half, c2 / (ndf + c2))
+            value = _reg_inc_beta(0.5, half, c2 / (ndf + c2), log_beta)
         else:
-            value = 1.0 - _reg_inc_beta(half, 0.5, ndf / (ndf + c2))
+            value = 1.0 - _reg_inc_beta(half, 0.5, ndf / (ndf + c2), log_beta)
         return value, math.exp(log_slope0 + r - (half + 0.5) * math.log1p(c2 / ndf))
 
     z = -_normal_quantile(0.5 * (1.0 - confidence))

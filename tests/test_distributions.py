@@ -26,7 +26,7 @@ from dapien.distributions import (
     gaussian_interval,
     t_quantile,
 )
-from dapien.errors import DegenerateGroup, DomainError, EmptyGroup
+from dapien.errors import DapienError, DegenerateGroup, DomainError, EmptyGroup, NonConvergence
 from oracles import gamma_quantile_quadrature, t_two_sided_quadrature
 
 
@@ -41,6 +41,12 @@ def spy(monkeypatch, name):
 
     monkeypatch.setattr(distributions, name, wrapper)
     return returns
+
+
+def warm_t_cache():
+    """Cache the critical values that a bad argument could be mistaken for."""
+    t_quantile(0.95, 1.0)
+    t_quantile(0.95, 20.0)
 
 
 # the grids on which each quantile's cost and accuracy are pinned
@@ -135,6 +141,13 @@ class TestFitGamma:
         assert params.rate == distributions._rate_from_mean(
             shape, 3, float(np.mean(ys)) - params.location
         )
+
+    def test_non_convergence_when_both_estimators_fail(self, monkeypatch):
+        monkeypatch.setattr(distributions, "_shape_rate_mle", lambda z: None)
+        monkeypatch.setattr(distributions, "_shape_rate_moments", lambda z: None)
+        with pytest.raises(NonConvergence, match="estimation failed") as raised:
+            fit_gamma([1.0, 2.0, 4.0])
+        assert isinstance(raised.value, DapienError)
 
     def test_monte_carlo_exponential(self):
         rng = np.random.default_rng(42)
@@ -292,29 +305,55 @@ class TestTQuantile:
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            t_quantile(1.0, 10.0)
-        with pytest.raises(DomainError):
-            t_quantile(0.95, 0.5)
+        warm_t_cache()
+        for confidence in (0.0, 1.0, math.nan):
+            with pytest.raises(DomainError, match="confidence must"):
+                t_quantile(confidence, 20.0)
+        for ndf in (0.5, math.nan):
+            with pytest.raises(DomainError, match="ndf must"):
+                t_quantile(0.95, ndf)
 
     @pytest.mark.parametrize("ndf", [True, np.bool_(True), "20", None])
     def test_rejects_an_ndf_that_is_not_a_real(self, ndf):
+        # True == 1.0 and hashes alike, so only the checks keep it from (0.95, 1.0)
+        warm_t_cache()
         with pytest.raises(DomainError, match="not a bool"):
             t_quantile(0.95, ndf)
 
     def test_newton_cost_and_agreement_with_scipy(self, monkeypatch):
         # bisection took 40-60 CDF evaluations per critical value; Newton
-        # from the Cornish-Fisher start takes at most 6 on this grid
+        # from the Cornish-Fisher start takes at most 6 on this grid.  A
+        # cached value costs none, so each point is solved cold.
         calls = spy(monkeypatch, "_reg_inc_beta")
         for confidence in T_CONFIDENCES:
             for ndf in T_NDFS:
+                distributions._t_critical.cache_clear()
                 calls.clear()
                 c = t_quantile(confidence, ndf)
-                assert len(calls) <= 24, (confidence, ndf, len(calls))
-                # beyond ndf 1000 the incomplete beta itself loses digits
-                if ndf <= 1000.0:
-                    ref = stats.t.ppf(0.5 + 0.5 * confidence, ndf)
-                    assert abs(c - ref) <= 1e-10 * ref, (confidence, ndf)
+                assert 1 <= len(calls) <= 24, (confidence, ndf, len(calls))
+                ref = stats.t.ppf(0.5 + 0.5 * confidence, ndf)
+                assert abs(c - ref) <= 1e-10 * ref, (confidence, ndf)
+
+    @pytest.mark.parametrize("confidence, ndf", [
+        (np.float64(0.95), np.float64(20.0)), (0.95, 20), (0.95, np.int64(20)),
+    ])
+    def test_cached_value_is_the_cold_value(self, confidence, ndf):
+        distributions._t_critical.cache_clear()
+        cold = t_quantile(float(confidence), float(ndf))
+        distributions._t_critical.cache_clear()
+        first = t_quantile(confidence, ndf)
+        again = t_quantile(confidence, ndf)
+        assert type(first) is type(again) is float
+        assert first.hex() == again.hex() == cold.hex()
+
+    def test_cache_is_bounded(self):
+        distributions._t_critical.cache_clear()
+        bound = distributions._T_CACHE_SIZE
+        for ndf in range(1, bound + 51):
+            t_quantile(0.95, ndf)
+        info = distributions._t_critical.cache_info()
+        assert info.maxsize == bound
+        assert info.currsize == bound and info.misses == bound + 50
 
     @given(
         confidence=st.floats(0.01, 0.999), ndf=st.floats(1.0, 1e6),

@@ -5,9 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from dapien import distributions
 from dapien.bootstrap import bootstrap_fit
 from dapien.distributions import DistFamily
-from dapien.errors import DapienError, DegenerateGroup, EmptyDataset, RaggedFeatures
+from dapien.errors import (
+    DapienError,
+    DegenerateGroup,
+    EmptyDataset,
+    NonConvergence,
+    RaggedFeatures,
+)
 from dapien.grouping import (
     Sample,
     build_dist_dataset,
@@ -116,6 +123,16 @@ def test_gamma_family_small_group_error_names_input():
     samples = [Sample((1, 0), 1.0), Sample((1, 0), 2.0)]
     grouped = group_by_unique_input(samples)
     with pytest.raises(DegenerateGroup, match="10"):
+        build_dist_dataset(grouped, DistFamily.GAMMA)
+
+
+def test_gamma_non_convergence_names_input(monkeypatch):
+    monkeypatch.setattr(distributions, "_shape_rate_mle", lambda z: None)
+    monkeypatch.setattr(distributions, "_shape_rate_moments", lambda z: None)
+    grouped = group_by_unique_input(
+        [Sample((0, 1), 1.0), Sample((0, 1), 2.0), Sample((0, 1), 4.0)]
+    )
+    with pytest.raises(NonConvergence, match="group 01: gamma shape/rate estimation failed"):
         build_dist_dataset(grouped, DistFamily.GAMMA)
 
 
