@@ -64,8 +64,7 @@ class BootstrapModel(ModelDocument):
         }
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "BootstrapModel":
-        cls._check_header(doc)
+    def _from_fields(cls, doc: dict) -> "BootstrapModel":
         return cls(
             members=tuple(LinearModel.from_dict(m) for m in doc["members"]),
             noise_model=LinearModel.from_dict(doc["noise_model"]),

@@ -6,10 +6,11 @@ location ``mu``; its density is ``beta^alpha / Gamma(alpha) *
 probabilities are evaluated through a series / continued-fraction expansion
 of the regularised incomplete gamma function; no closed forms are assumed.
 Student's t critical values go through the regularised incomplete beta
-function.  Both are inverted by one safeguarded Newton iteration (Newton
-steps inside an analytic bracket, bisection where a step would leave it),
-whose slope is the density, and which starts from a normal-based
-approximation: Cornish-Fisher for t, Wilson-Hilferty for gamma.
+function.  Every root here is found by one safeguarded Newton iteration
+(Newton steps inside an analytic bracket, bisection where a step would
+leave it): a t critical value from the lower end of its bracket, a gamma
+quantile from Wilson-Hilferty or a power-law start, and the gamma shape
+MLE, which solves ``log(a) - psi(a) = s``, from a closed-form start.
 
 Everything here is a pure function of its inputs; the parameter containers
 are frozen and safe to share across threads.
@@ -204,29 +205,44 @@ def _reg_inc_beta(a, b, x, log_beta):
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
 
-def _digamma(x):
-    """Psi function via upward recurrence plus an asymptotic tail."""
-    result = 0.0
+def _log_minus_digamma(a):
+    """``log(a) - psi(a)`` for a > 0, by upward recurrence plus an asymptotic tail.
+
+    The tail is the series of the difference itself, 1/(2x) + 1/(12x^2) -
+    ..., so no logarithm near ``psi(a)`` is subtracted from ``log(a)``, and
+    the relative precision holds however large a grows.
+    """
+    result, x = 0.0, a
     while x < 12.0:
-        result -= 1.0 / x
+        result += 1.0 / x
+        x += 1.0
+    result += math.log(a / x)
+    inv = 1.0 / x
+    inv2 = inv * inv
+    return result + 0.5 * inv + inv2 * (
+        1.0 / 12.0 - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 / 240.0))
+    )
+
+
+def _scaled_trigamma_minus_one(a):
+    """``a * psi'(a) - 1`` for a > 0, the same way as :func:`_log_minus_digamma`.
+
+    The recurrence adds ``a / (a + j)^2`` up to x = a + k >= 12, and then
+    ``a psi'(x) - 1 = (a/x)(x psi'(x) - 1) - (x - a)/x``, where the series
+    of ``x psi'(x) - 1`` starts at 1/(2x), so nothing near 1 is subtracted.
+    It is the slope of ``1 / (log(a) - psi(a))`` in log(a), times the
+    square of the gap, for the shape MLE's Newton steps.
+    """
+    result, x = 0.0, a
+    while x < 12.0:
+        result += a / (x * x)
         x += 1.0
     inv = 1.0 / x
     inv2 = inv * inv
-    result += math.log(x) - 0.5 * inv
-    result -= inv2 * (1.0 / 12.0 - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 / 240.0)))
-    return result
-
-
-def _trigamma(x):
-    result = 0.0
-    while x < 12.0:
-        result += 1.0 / (x * x)
-        x += 1.0
-    inv = 1.0 / x
-    inv2 = inv * inv
-    result += inv * (1.0 + 0.5 * inv)
-    result += inv * inv2 * (1.0 / 6.0 - inv2 * (1.0 / 30.0 - inv2 * (1.0 / 42.0 - inv2 / 30.0)))
-    return result
+    tail = inv * (0.5 + inv * (
+        1.0 / 6.0 - inv2 * (1.0 / 30.0 - inv2 * (1.0 / 42.0 - inv2 / 30.0))
+    ))
+    return result + a / x * tail - (x - a) / x
 
 
 def _invert(cdf, p, x, lo, hi):
@@ -318,11 +334,11 @@ def t_quantile(confidence: float, ndf: float) -> float:
     """Two-sided Student-t critical value: P(|T_ndf| <= c) = confidence.
 
     ``ndf`` may be any real >= 1; large values converge to the Gaussian
-    critical value.  Solved by Newton on log(c), from the Cornish-Fisher
-    expansion of the normal critical value, inside the bracket that the
-    density at 0 and the Cauchy (ndf = 1) critical value give.  The result
-    agrees with ``scipy.stats.t.ppf`` within about 1e-11 relative for every
-    ndf from 1 to 1e6 (confidences 0.5-0.999).
+    critical value.  Solved by Newton on log(c) inside the bracket that
+    the density at 0, the normal critical value and the Cauchy (ndf = 1)
+    critical value give, from its lower end.  The result agrees with
+    ``scipy.stats.t.ppf`` within about 1e-11 relative for every ndf from 1
+    to 1e6 (confidences 0.5-0.999).
 
     A fitted model's ndf never changes, so each critical value is solved
     once per process: a bounded LRU of ``_T_CACHE_SIZE`` recently used
@@ -358,24 +374,13 @@ def _t_critical(confidence: float, ndf: float) -> float:
         return value, math.exp(log_slope0 + r - (half + 0.5) * math.log1p(c2 / ndf))
 
     z = -_normal_quantile(0.5 * (1.0 - confidence))
-    z2 = z * z
-    # Cornish-Fisher: Abramowitz & Stegun 26.7.5 in powers of 1/ndf
-    start = z * (1.0 + (
-        (z2 + 1.0) / 4.0 + (
-            ((5.0 * z2 + 16.0) * z2 + 3.0) / 96.0 + (
-                (((3.0 * z2 + 19.0) * z2 + 17.0) * z2 - 15.0) / 384.0
-                + ((((79.0 * z2 + 776.0) * z2 + 1482.0) * z2 - 1920.0) * z2 - 945.0) / 92160.0 / ndf
-            ) / ndf
-        ) / ndf
-    ) / ndf)
     # P(|T| <= c) <= c * 2 f(0), and t critical values fall with ndf, from
     # the Cauchy value at ndf = 1 towards the normal value z
     lo = math.log(confidence) - log_slope0
     if z > 0.0:  # 0 where confidence is below double resolution at 1
         lo = max(lo, math.log(z))
     hi = math.log(math.tan(0.5 * math.pi * confidence))
-    start = math.log(start) if start > 0.0 else lo
-    return math.exp(_invert(two_sided, confidence, min(max(start, lo), hi), lo, hi))
+    return math.exp(_invert(two_sided, confidence, lo, lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -459,32 +464,28 @@ def _gamma_loglik(z_sum, logz_sum, n, shape, rate):
 
 
 def _shape_rate_mle(z):
-    """Newton iteration on ``log(a) - psi(a) = s`` for shifted data z > 0.
+    """Shape and rate maximising the likelihood of shifted data z > 0, or None.
 
-    Returns (shape, rate, converged); the caller handles fallback.
+    The shape solves ``log(a) - psi(a) = s``, s = log(mean z) - mean(log z),
+    which has a root only for a finite s > 0.  As ``1/(2a) < log(a) -
+    psi(a) < 1/a``, the root lies in (1/(2s), 1/s); ``_invert`` finds it on
+    log(a), where ``1 / (log(a) - psi(a))`` increases, from the closed-form
+    start clipped into that bracket.
     """
-    n = z.size
     mean = float(z.mean())
     s = math.log(mean) - float(np.log(z).mean())
     if not (math.isfinite(s) and s > 0.0):
         return None
-    a = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
-    converged = False
-    for _ in range(100):
-        g = math.log(a) - _digamma(a) - s
-        gp = 1.0 / a - _trigamma(a)
-        step = g / gp
-        a_new = a - step
-        if a_new <= 0.0:
-            a_new = 0.5 * a
-        if abs(a_new - a) <= 1e-10 * max(1.0, a):
-            a = a_new
-            converged = True
-            break
-        a = a_new
-    if not (math.isfinite(a) and a > 0.0):
-        return None
-    return a, a / mean, converged
+
+    def inverse_gap(y):
+        a = math.exp(y)
+        gap = _log_minus_digamma(a)
+        return 1.0 / gap, _scaled_trigamma_minus_one(a) / (gap * gap)
+
+    lo, hi = -math.log(2.0 * s), -math.log(s)
+    start = math.log((3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s))
+    a = math.exp(_invert(inverse_gap, 1.0 / s, min(max(start, lo), hi), lo, hi))
+    return a, a / mean
 
 
 def _shape_rate_moments(z):
@@ -542,12 +543,14 @@ def fit_gamma(ys) -> GammaParams:
     The location is anchored below the sample minimum with the offset
     ``(mean - min) / (n - 1)``, which removes the O(1/n) upward bias of the
     raw minimum when the underlying shape is near 1 (the exponential-noise
-    regime this library targets).  Shape and rate then come from Newton
-    iteration on the digamma equation, with a method-of-moments fallback,
-    and a first-order small-sample bias correction of the shape.  When the
-    fitted shape is clearly above 1 and the group is large, the location is
-    re-estimated by profile likelihood, which is consistent there while the
-    sample minimum is not.
+    regime this library targets).  Shape and rate then come from the
+    likelihood equation ``log(a) - psi(a) = s``, solved by safeguarded
+    Newton inside the bracket (1/(2s), 1/s); where the data's log-spread s
+    rounds to 0 or below there is no root, and the method of moments is
+    used.  A first-order small-sample bias correction of the shape follows.
+    When the fitted shape is clearly above 1 and the group is large, the
+    location is re-estimated by profile likelihood, which is consistent
+    there while the sample minimum is not.
 
     Raises
     ------
@@ -566,15 +569,7 @@ def fit_gamma(ys) -> GammaParams:
 
     def fit_at(mu):
         z = ys - mu
-        est = _shape_rate_mle(z)
-        if est is not None and est[2]:
-            return est[0], est[1]
-        mom = _shape_rate_moments(z)
-        if mom is not None:
-            return mom
-        if est is not None:
-            return est[0], est[1]
-        return None
+        return _shape_rate_mle(z) or _shape_rate_moments(z)
 
     est = fit_at(loc)
     if est is None:
@@ -610,7 +605,7 @@ def _profile_location(ys, mn, mean, loc0):
         est = _shape_rate_mle(z)
         if est is None:
             return -math.inf, None
-        a, b, _ = est
+        a, b = est
         return _gamma_loglik(float(z.sum()), float(np.log(z).sum()), ys.size, a, b), (a, b)
 
     base, _ = loglik_at(loc0)

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .distributions import DistFamily, fit_gamma, fit_gaussian
-from .errors import DapienError, EmptyDataset, InvalidRecord, RaggedFeatures
+from .errors import DapienError, EmptyDataset, InvalidRecord, LengthMismatch, RaggedFeatures
 
 
 class Sample(NamedTuple):
@@ -74,8 +74,19 @@ class Records(Sequence):
         return list(self) == list(other)
 
     def subset(self, keep) -> "Records":
-        """The records of the inputs that the boolean mask ``keep`` (one per input) marks."""
-        keep = np.asarray(keep, dtype=bool)
+        """The records of the inputs that the boolean mask ``keep`` (one per input) marks.
+
+        Raises ``LengthMismatch`` unless ``keep`` has one entry per input,
+        and ``TypeError`` if its entries are not booleans.
+        """
+        keep = np.asarray(keep)
+        if keep.shape != (len(self.inputs),):
+            raise LengthMismatch(
+                f"subset needs one flag per input ({len(self.inputs)}), got shape {keep.shape}"
+            )
+        if keep.size and keep.dtype != bool:  # an empty list reads as float64
+            raise TypeError(f"subset needs a boolean mask, got {keep.dtype} entries")
+        keep = keep.astype(bool)
         on = keep[self.index]
         # whole inputs are kept, so their old order is still first appearance
         renumber = np.cumsum(keep) - 1

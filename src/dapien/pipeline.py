@@ -58,8 +58,9 @@ class ModelDocument:
     """JSON save and load of a model document headed by format and version.
 
     A subclass sets ``FORMAT`` and the ``VERSIONS`` it reads, the last being
-    the one it writes; ``to_dict`` starts from ``_header()`` and
-    ``from_dict`` calls ``_check_header`` first.
+    the one it writes; ``to_dict`` starts from ``_header()``, and
+    ``_from_fields`` builds the model from a document whose header
+    ``from_dict`` has checked.
     """
 
     @classmethod
@@ -67,11 +68,20 @@ class ModelDocument:
         return {"format": cls.FORMAT, "version": cls.VERSIONS[-1]}
 
     @classmethod
-    def _check_header(cls, doc: dict) -> None:
-        if doc.get("format") != cls.FORMAT:
+    def from_dict(cls, doc: dict):
+        """The model a ``to_dict`` document describes.
+
+        Raises ``ValueError`` for another format or version, and for a
+        missing or mistyped field, at the top level or in a member model.
+        """
+        if not isinstance(doc, dict) or doc.get("format") != cls.FORMAT:
             raise ValueError(f"not a {cls.FORMAT} document")
         if doc.get("version") not in cls.VERSIONS:
             raise ValueError(f"unsupported version {doc.get('version')}")
+        try:
+            return cls._from_fields(doc)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed {cls.FORMAT} document: {exc!r}") from exc
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -160,8 +170,7 @@ class DapienModel(ModelDocument):
         return doc
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "DapienModel":
-        cls._check_header(doc)
+    def _from_fields(cls, doc: dict) -> "DapienModel":
         return cls(
             family=DistFamily(doc["family"]),
             param_models=tuple(model_from_dict(m) for m in doc["models"]),

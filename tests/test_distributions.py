@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import digamma
 
 from dapien import distributions
 from dapien.distributions import (
@@ -129,18 +130,34 @@ class TestFitGamma:
             fit_gamma([3e7, 3e7, 3e7 + 3.7e-9])
 
     @pytest.mark.filterwarnings("error")
-    def test_moments_fallback_when_newton_does_not_converge(self, monkeypatch):
+    def test_moments_fallback_when_the_log_spread_rounds_to_zero(self, monkeypatch):
+        # at the anchored location log(mean z) - mean(log z) is exactly 0.0,
+        # so the likelihood equation has no root
         mle_returns = spy(monkeypatch, "_shape_rate_mle")
         moments_returns = spy(monkeypatch, "_shape_rate_moments")
-        ys = [1.0, 1.0, 1.0 + 2**-52]
+        ys = [1.0, 1.0 + 2**-52, 1.0 + 2**-52]
         params = fit_gamma(ys)
         (mle,), (moments,) = mle_returns, moments_returns
-        assert mle is not None and not mle[2]
+        assert mle is None and moments is not None
         shape = distributions._shape_bias_correction(moments[0], 3)
-        assert params.shape == shape != distributions._shape_bias_correction(mle[0], 3)
+        assert params.shape == shape
         assert params.rate == distributions._rate_from_mean(
             shape, 3, float(np.mean(ys)) - params.location
         )
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_tiny_positive_log_spread_gets_the_mle(self, monkeypatch):
+        mle_returns = spy(monkeypatch, "_shape_rate_mle")
+        moments_returns = spy(monkeypatch, "_shape_rate_moments")
+        ys = np.array([1.0, 1.0, 1.0 + 2**-52])
+        params = fit_gamma(ys)
+        (mle,) = mle_returns
+        assert mle is not None and moments_returns == []
+        z = ys - params.location
+        s = math.log(z.mean()) - float(np.log(z).mean())
+        assert s > 0.0
+        assert abs(distributions._log_minus_digamma(mle[0]) - s) <= 1e-12 * s
+        assert params.shape == distributions._shape_bias_correction(mle[0], 3)
 
     def test_non_convergence_when_both_estimators_fail(self, monkeypatch):
         monkeypatch.setattr(distributions, "_shape_rate_mle", lambda z: None)
@@ -322,8 +339,8 @@ class TestTQuantile:
 
     def test_newton_cost_and_agreement_with_scipy(self, monkeypatch):
         # bisection took 40-60 CDF evaluations per critical value; Newton
-        # from the Cornish-Fisher start takes at most 6 on this grid.  A
-        # cached value costs none, so each point is solved cold.
+        # from the lower end of the bracket takes at most 10 on this grid.
+        # A cached value costs none, so each point is solved cold.
         calls = spy(monkeypatch, "_reg_inc_beta")
         for confidence in T_CONFIDENCES:
             for ndf in T_NDFS:
@@ -364,6 +381,32 @@ class TestTQuantile:
         c = t_quantile(confidence, ndf)
         assert t_quantile(confidence + gap, ndf) > c
         assert t_quantile(confidence, ndf * ratio) < c
+
+
+def test_log_minus_digamma_against_scipy():
+    a = np.geomspace(1e-6, 1e3, 2001)
+    ref = np.log(a) - digamma(a)
+    got = np.array([distributions._log_minus_digamma(x) for x in a.tolist()])
+    assert np.all(np.abs(got - ref) <= 5e-12 * ref)
+    # log(a) - digamma(a) cancels there; the series is 1/(2a) + 1/(12a^2) - ...
+    for a in np.geomspace(1e6, 1e300, 60).tolist():
+        ref = 0.5 / a + 1.0 / (12.0 * a * a)
+        assert abs(distributions._log_minus_digamma(a) - ref) <= 1e-15 * ref, a
+
+
+@given(
+    spread=st.floats(2e-6, 12.0),
+    draws=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=20),
+)
+def test_shape_mle_solves_its_equation_inside_its_bracket(spread, draws):
+    # log-spreads s of order spread^2, from about 1e-12 to 10
+    z = np.exp(spread * np.array([-1.0, 1.0, *draws]))
+    s = math.log(z.mean()) - float(np.log(z).mean())
+    assume(1e-12 <= s)
+    shape, rate = distributions._shape_rate_mle(z)
+    assert 0.5 / s < shape < 1.0 / s
+    assert abs(distributions._log_minus_digamma(shape) - s) <= 1e-12 * s
+    assert rate == shape / float(z.mean())
 
 
 def test_normal_quantile_against_scipy():

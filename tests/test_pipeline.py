@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from dapien.bootstrap import BootstrapModel
 from dapien.distributions import DistFamily
 from dapien.errors import DapienError, DimensionMismatch, DomainError, InvalidPrediction
 from dapien.grouping import Sample
@@ -273,6 +274,41 @@ class TestSerialization:
             DapienModel.from_dict({**gamma, "models": gaussian["models"]})
         with pytest.raises(ValueError, match="ndf must be present exactly"):
             DapienModel.from_dict({**gamma, "ndf": 20.0})
+
+
+def model_documents():
+    """A Gaussian dapien document and a two-member bootstrap document."""
+    linear = LinearModel(np.zeros(3), 0.5, Activation.IDENTITY)
+    boot = BootstrapModel(members=(linear, linear), noise_model=linear, b=2)
+    return {
+        DapienModel: constant_gaussian_model(1.0, 0.5).to_dict(),
+        BootstrapModel: boot.to_dict(),
+    }
+
+
+@pytest.mark.parametrize("kind, path", [
+    pytest.param(kind, path, id=f"{kind.FORMAT}:{'.'.join(map(str, path))}")
+    for kind, path in (
+        *((kind, (key,)) for kind, doc in model_documents().items() for key in doc),
+        (DapienModel, ("models", 0, "bias")),
+        (BootstrapModel, ("members", 1, "bias")),
+    )
+])
+def test_a_document_missing_a_field_raises_value_error(kind, path):
+    doc = model_documents()[kind]
+    *steps, last = path
+    target = doc
+    for step in steps:
+        target = target[step]
+    del target[last]
+    with pytest.raises(ValueError):
+        kind.from_dict(doc)
+
+
+@pytest.mark.parametrize("kind", [DapienModel, BootstrapModel])
+def test_a_document_that_is_not_an_object_raises_value_error(kind):
+    with pytest.raises(ValueError, match=f"not a {kind.FORMAT} document"):
+        kind.from_dict([model_documents()[kind]])
 
 
 def test_prediction_interval_invariants():

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dapien.errors import EmptyDataset
+from dapien.errors import EmptyDataset, LengthMismatch
 from dapien.grouping import Records, Sample, as_records
 from dapien.synthdata import (
     GeneratorSpec,
@@ -157,3 +157,14 @@ def test_records_are_not_lists_and_cannot_be_built_from_arrays():
         hash(records)
     assert records != [Sample((0, 1), 1.0)]
     assert records != [Sample((0, 1), 1.0), Sample((1, 1), math.nextafter(2.0, 3.0))]
+
+
+@pytest.mark.parametrize("keep, error", [
+    ([True, False, True, False, True], LengthMismatch),
+    ([True], LengthMismatch),
+    ([0, 2, 1], TypeError),
+])
+def test_subset_needs_one_boolean_per_input(keep, error):
+    records = as_records([Sample((0, 0), 1.0), Sample((0, 1), 2.0), Sample((1, 1), 3.0)])
+    with pytest.raises(error):
+        records.subset(keep)
