@@ -54,6 +54,7 @@ class BootstrapModel(ModelDocument):
     def __post_init__(self):
         if self.b < 2 or len(self.members) != self.b:
             raise ValueError(f"need b >= 2 members, got {len(self.members)} of b={self.b}")
+        self._check_one_dim((*self.members, self.noise_model))
 
     def to_dict(self) -> dict:
         return {

@@ -10,7 +10,9 @@ function.  Every root here is found by one safeguarded Newton iteration
 (Newton steps inside an analytic bracket, bisection where a step would
 leave it): a t critical value from the lower end of its bracket, a gamma
 quantile from Wilson-Hilferty or a power-law start, and the gamma shape
-MLE, which solves ``log(a) - psi(a) = s``, from a closed-form start.
+MLE, which solves ``log(a) - psi(a) = s``, from a closed-form start.  That
+shape solve is the one gamma estimator: a group whose log-spread s is not
+a finite positive has no MLE and is degenerate (``gamma_degeneracy``).
 
 Everything here is a pure function of its inputs; the parameter containers
 are frozen and safe to share across threads.
@@ -254,7 +256,8 @@ def _invert(cdf, p, x, lo, hi):
     despite rounding.  A Newton step is taken where it lands inside the
     current bracket, a bisection otherwise (``rtsafe`` in Numerical
     Recipes).  Iteration stops once the residual is within 1e-15 of ``p``
-    relative, a Newton step is below 1e-8, or the bracket has collapsed.
+    relative, a Newton step rounds onto x or is below 1e-8, or the bracket
+    has collapsed.
     Near the root convergence is quadratic, so a step below 1e-8 leaves an
     error near its square, and the CDF's own rounding noise (about 1e-11
     relative for t at ndf = 1e6) cannot keep the loop going.
@@ -270,6 +273,8 @@ def _invert(cdf, p, x, lo, hi):
         else:
             hi = x
         step = residual / slope if slope > 0.0 else math.inf
+        if x - step == x:  # x is the root to its own resolution, and a bracket end
+            return x
         if lo < x - step < hi:
             x -= step
             if abs(step) <= _NEWTON_STEP:
@@ -463,19 +468,14 @@ def _gamma_loglik(z_sum, logz_sum, n, shape, rate):
     )
 
 
-def _shape_rate_mle(z):
-    """Shape and rate maximising the likelihood of shifted data z > 0, or None.
+def _shape_mle(s):
+    """The gamma shape MLE: the root of ``log(a) - psi(a) = s`` for a finite s > 0.
 
-    The shape solves ``log(a) - psi(a) = s``, s = log(mean z) - mean(log z),
-    which has a root only for a finite s > 0.  As ``1/(2a) < log(a) -
-    psi(a) < 1/a``, the root lies in (1/(2s), 1/s); ``_invert`` finds it on
-    log(a), where ``1 / (log(a) - psi(a))`` increases, from the closed-form
-    start clipped into that bracket.
+    s = log(mean z) - mean(log z) of the values z above the location.  As
+    ``1/(2a) < log(a) - psi(a) < 1/a``, the root lies in (1/(2s), 1/s);
+    ``_invert`` finds it on log(a), where ``1 / (log(a) - psi(a))``
+    increases, from the closed-form start clipped into that bracket.
     """
-    mean = float(z.mean())
-    s = math.log(mean) - float(np.log(z).mean())
-    if not (math.isfinite(s) and s > 0.0):
-        return None
 
     def inverse_gap(y):
         a = math.exp(y)
@@ -484,16 +484,7 @@ def _shape_rate_mle(z):
 
     lo, hi = -math.log(2.0 * s), -math.log(s)
     start = math.log((3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s))
-    a = math.exp(_invert(inverse_gap, 1.0 / s, min(max(start, lo), hi), lo, hi))
-    return a, a / mean
-
-
-def _shape_rate_moments(z):
-    mean = float(z.mean())
-    var = float(z.var(ddof=1))
-    if var <= 0.0 or mean <= 0.0:
-        return None
-    return mean * mean / var, mean / var
+    return math.exp(_invert(inverse_gap, 1.0 / s, min(max(start, lo), hi), lo, hi))
 
 
 def _shape_bias_correction(a, n):
@@ -511,10 +502,12 @@ def _rate_from_mean(a, n, mean):
 
 
 def _gamma_anchor(ys):
-    """The minimum and mean of ``ys``, and the location anchored below the minimum.
+    """The minimum and mean of ``ys``, the location anchored below the minimum, and s.
 
-    Raises ``DegenerateGroup`` for fewer than 3 values, all values equal, or
-    a spread below the float resolution of the values.
+    s is the log-spread log(mean z) - mean(log z) of the values z above
+    that location.  Raises ``DegenerateGroup`` for fewer than 3 values, all
+    values equal, a spread below the float resolution of the values, or an
+    s that is not finite and positive, where the shape MLE has no root.
     """
     n = ys.size
     if n < 3:
@@ -525,11 +518,15 @@ def _gamma_anchor(ys):
     loc = mn - max((mean - mn) / (n - 1), 1e-9)
     if not loc < min(mn, mean):  # the anchor rounded onto the data
         raise DegenerateGroup("gamma fit needs spread above the float resolution of the values")
-    return mn, mean, loc
+    z = ys - loc
+    s = math.log(float(z.mean())) - float(np.log(z).mean())
+    if not (math.isfinite(s) and s > 0.0):  # Jensen keeps it >= 0 in exact arithmetic
+        raise DegenerateGroup(f"gamma fit needs a finite log-spread above 0, got {s!r}")
+    return mn, mean, loc, s
 
 
 def gamma_degeneracy(ys) -> str | None:
-    """Why :func:`fit_gamma` rejects the non-empty group ``ys``, or None if it fits it."""
+    """Why :func:`fit_gamma` rejects the non-empty group ``ys``, or None exactly when it fits it."""
     try:
         _gamma_anchor(np.asarray(ys, dtype=np.float64))
     except DegenerateGroup as exc:
@@ -543,43 +540,38 @@ def fit_gamma(ys) -> GammaParams:
     The location is anchored below the sample minimum with the offset
     ``(mean - min) / (n - 1)``, which removes the O(1/n) upward bias of the
     raw minimum when the underlying shape is near 1 (the exponential-noise
-    regime this library targets).  Shape and rate then come from the
-    likelihood equation ``log(a) - psi(a) = s``, solved by safeguarded
-    Newton inside the bracket (1/(2s), 1/s); where the data's log-spread s
-    rounds to 0 or below there is no root, and the method of moments is
-    used.  A first-order small-sample bias correction of the shape follows.
-    When the fitted shape is clearly above 1 and the group is large, the
-    location is re-estimated by profile likelihood, which is consistent
-    there while the sample minimum is not.
+    regime this library targets).  The shape then solves the likelihood
+    equation ``log(a) - psi(a) = s``, s = log(mean z) - mean(log z) of the
+    values z above the location, by safeguarded Newton inside the bracket
+    (1/(2s), 1/s).  When the fitted shape is clearly above 1 and the group
+    is large, the location is re-estimated by profile likelihood, which is
+    consistent there while the sample minimum is not.  A first-order
+    small-sample bias correction of the shape follows, and the rate is the
+    shape over the mean of the values above the location, less its
+    small-sample inflation.
 
     Raises
     ------
     EmptyGroup
         If ``ys`` is empty.
     DegenerateGroup
-        If fewer than 3 observations, or no spread above float resolution.
+        Where :func:`gamma_degeneracy` names a reason: fewer than 3
+        observations, no spread above float resolution, or a log-spread s
+        that is not finite and positive.
     NonConvergence
-        If both the likelihood and moment estimators fail (defect signal).
+        If the final parameters are not finite and positive (defect signal).
     """
     ys = np.asarray(ys, dtype=np.float64)
     if ys.size == 0:
         raise EmptyGroup("cannot fit a gamma to an empty group")
     n = int(ys.size)
-    mn, mean, loc = _gamma_anchor(ys)
-
-    def fit_at(mu):
-        z = ys - mu
-        return _shape_rate_mle(z) or _shape_rate_moments(z)
-
-    est = fit_at(loc)
-    if est is None:
-        raise NonConvergence("gamma shape/rate estimation failed for a valid group")
-    shape, rate = est
+    mn, mean, loc, s = _gamma_anchor(ys)
+    shape = _shape_mle(s)
 
     if shape >= 2.0 and n >= 200:
         refined = _profile_location(ys, mn, mean, loc)
         if refined is not None:
-            loc, shape, rate = refined
+            loc, shape = refined
 
     shape = _shape_bias_correction(shape, n)
     rate = _rate_from_mean(shape, n, mean - loc)
@@ -593,8 +585,8 @@ def _profile_location(ys, mn, mean, loc0):
     """Golden-section maximisation of the profile likelihood over location.
 
     Only used for shape clearly above 1, where the likelihood has an
-    interior optimum in the location; returns None when no improvement over
-    the minimum-anchored starting point is found.
+    interior optimum in the location; returns the location and its shape
+    MLE, or None when no improvement over the minimum-anchored start is found.
     """
     spread = mean - mn
     low = mn - 6.0 * spread
@@ -602,11 +594,12 @@ def _profile_location(ys, mn, mean, loc0):
 
     def loglik_at(mu):
         z = ys - mu
-        est = _shape_rate_mle(z)
-        if est is None:
+        log_z = np.log(z)
+        s = math.log(float(z.mean())) - float(log_z.mean())
+        if not (math.isfinite(s) and s > 0.0):
             return -math.inf, None
-        a, b = est
-        return _gamma_loglik(float(z.sum()), float(np.log(z).sum()), ys.size, a, b), (a, b)
+        a = _shape_mle(s)
+        return _gamma_loglik(float(z.sum()), float(log_z.sum()), ys.size, a, a / float(z.mean())), a
 
     base, _ = loglik_at(loc0)
 
@@ -629,7 +622,7 @@ def _profile_location(ys, mn, mean, loc0):
         if high - low <= 1e-11 * max(1.0, abs(high)):
             break
     best_mu = x1 if f1 >= f2 else x2
-    best, est = loglik_at(best_mu)
-    if est is None or not (best > base + 1e-7):
+    best, shape = loglik_at(best_mu)
+    if shape is None or not (best > base + 1e-7):
         return None
-    return best_mu, est[0], est[1]
+    return best_mu, shape

@@ -26,7 +26,7 @@ class DegenerateGroup(DapienError):
 
 
 class NonConvergence(DapienError):
-    """Both the primary estimator and its fallback failed; defect signal."""
+    """A fit of a group its preconditions admit produced invalid parameters; defect signal."""
 
 
 class DomainError(DapienError):

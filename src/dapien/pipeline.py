@@ -71,8 +71,9 @@ class ModelDocument:
     def from_dict(cls, doc: dict):
         """The model a ``to_dict`` document describes.
 
-        Raises ``ValueError`` for another format or version, and for a
-        missing or mistyped field, at the top level or in a member model.
+        Raises ``ValueError`` for another format or version, for a missing
+        or mistyped field, at the top level or in a member model, and for
+        member models that take inputs of different dimensions.
         """
         if not isinstance(doc, dict) or doc.get("format") != cls.FORMAT:
             raise ValueError(f"not a {cls.FORMAT} document")
@@ -82,6 +83,13 @@ class ModelDocument:
             return cls._from_fields(doc)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed {cls.FORMAT} document: {exc!r}") from exc
+
+    @staticmethod
+    def _check_one_dim(models) -> None:
+        """Raise ``ValueError`` unless every member model takes inputs of one dimension."""
+        dims = sorted({m.dim for m in models})
+        if len(dims) > 1:
+            raise ValueError(f"member models take inputs of different dimensions {dims}")
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -154,6 +162,7 @@ class DapienModel(ModelDocument):
             raise ValueError(
                 f"ndf must be finite and >= 1 (a real, not a bool), got {self.ndf!r}"
             )
+        self._check_one_dim(self.param_models)
 
     @property
     def dim(self) -> int:

@@ -90,7 +90,10 @@ class LinearModel:
     activation: Activation
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", _frozen_array(self.weights))
+        weights = _frozen_array(self.weights)
+        if weights.ndim != 1:
+            raise ValueError(f"weights must be a vector, got shape {weights.shape}")
+        object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "bias", float(_frozen_array(self.bias, ())))
 
     @property

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidRecord, RaggedFeatures, TooFewGroups
+from .errors import EmptyDataset, InvalidRecord, RaggedFeatures, TooFewGroups
 from .grouping import Records, Sample, as_records
 
 
@@ -97,12 +97,18 @@ def group_split(samples, spec: SplitSpec) -> tuple[Records, Records]:
     seeded shuffle, go to the test side together with all their
     replicates.
 
+    ``samples`` may be any iterable of records, checked as ``as_records``
+    checks them.
+
     Raises
     ------
     TooFewGroups
         If fewer than 2 distinct input vectors are present.
     """
-    records = as_records(samples) if len(samples) else None
+    try:
+        records = as_records(samples)
+    except EmptyDataset:
+        records = None
     p = 0 if records is None else len(records.inputs)
     if p < 2:
         raise TooFewGroups(f"need at least 2 distinct inputs, got {p}")

@@ -220,17 +220,20 @@ class TestCommandLine:
         assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
 
     def test_a_group_below_float_resolution_is_dropped(self, tmp_path, caplog):
-        # two of the four inputs hold groups a gamma fit cannot resolve, so
-        # whichever input the split sends to the test side, one is trained on;
-        # the runner drops them by fit_gamma's own predicate
+        # three of the five inputs hold groups a gamma fit cannot resolve: two
+        # with a spread below float resolution, so whichever the split sends to
+        # the test side one is trained on, and one whose log-spread rounds to
+        # 0, which the seeded split trains on; the runner drops them by
+        # fit_gamma's own predicate
         groups = {
-            "0,0": [1.0, 1.5, 2.7, 1.2],
-            "0,1": [3e7, 3e7, 3e7 + 3.7e-9],
-            "1,0": [3e7, 3e7 + 3.7e-9, 3e7],
-            "1,1": [2.0, 2.25, 4.0, 3.1],
+            "0,0,0": [1.0, 1.5, 2.7, 1.2],
+            "0,0,1": [3e7, 3e7, 3e7 + 3.7e-9],
+            "0,1,0": [1.0, 1.0 + 2**-52, 1.0 + 2**-52],
+            "0,1,1": [2.0, 2.25, 4.0, 3.1],
+            "1,0,0": [3e7, 3e7 + 3.7e-9, 3e7],
         }
         data = tmp_path / "data.csv"
-        data.write_text("x_0,x_1,y\n" + "".join(
+        data.write_text("x_0,x_1,x_2,y\n" + "".join(
             f"{x},{y!r}\n" for x, ys in groups.items() for y in ys
         ))
         config_path = tmp_path / "config.json"
@@ -243,7 +246,7 @@ class TestCommandLine:
         assert code == EXIT_OK
         assert "dropping 2 group(s) unusable for a gamma fit" in caplog.text
         echo = json.loads((out / "config.json").read_text())
-        assert echo["dropped_groups"] == ["01", "10"]
+        assert echo["dropped_groups"] == ["001", "010"]
 
     def test_generate_rejects_unknown_dataset(self, tmp_path):
         code = main(["generate", "--dataset", "Z", "--out", str(tmp_path / "x.csv")])

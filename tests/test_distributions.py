@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import digamma
@@ -110,6 +110,33 @@ def test_fit_gamma_is_scale_equivariant(ys, factor):
     assert abs(scaled.location - factor * base.location) <= 1e-9 * factor * scale
 
 
+@st.composite
+def near_constant_groups(draw):
+    """Groups of one value plus a few ulps each, or plus spreads near the 1e-9 location offset."""
+    if draw(st.booleans()):
+        # a few ulps of a value near 1 leave a log-spread that can round to 0
+        v = draw(st.floats(-2.0, 2.0) | st.floats(-1e8, 1e8))
+        member = st.integers(0, 8).map(lambda k: v + k * math.ulp(v))
+    else:
+        v = draw(st.floats(-1e8, 1e8))
+        width = draw(st.floats(1e-10, 1e-8))
+        member = st.floats(0.0, 1.0).map(lambda u: v + u * width)
+    return draw(st.lists(member, min_size=1, max_size=8))
+
+
+@pytest.mark.filterwarnings("error")
+@given(ys=st.one_of(group_values, near_constant_groups()))
+@example(ys=[1.0, 1.0 + 2**-52, 1.0 + 2**-52])  # s rounds to 0
+def test_gamma_degeneracy_is_the_whole_precondition_of_fit_gamma(ys):
+    reason = distributions.gamma_degeneracy(ys)
+    try:
+        fit_gamma(ys)
+    except DegenerateGroup as exc:
+        assert reason == str(exc)
+    else:
+        assert reason is None
+
+
 class TestFitGamma:
     def test_degenerate_constant(self):
         with pytest.raises(DegenerateGroup):
@@ -130,39 +157,38 @@ class TestFitGamma:
             fit_gamma([3e7, 3e7, 3e7 + 3.7e-9])
 
     @pytest.mark.filterwarnings("error")
-    def test_moments_fallback_when_the_log_spread_rounds_to_zero(self, monkeypatch):
+    def test_a_log_spread_that_rounds_to_zero_is_degenerate(self, monkeypatch):
         # at the anchored location log(mean z) - mean(log z) is exactly 0.0,
         # so the likelihood equation has no root
-        mle_returns = spy(monkeypatch, "_shape_rate_mle")
-        moments_returns = spy(monkeypatch, "_shape_rate_moments")
+        mle_returns = spy(monkeypatch, "_shape_mle")
         ys = [1.0, 1.0 + 2**-52, 1.0 + 2**-52]
-        params = fit_gamma(ys)
-        (mle,), (moments,) = mle_returns, moments_returns
-        assert mle is None and moments is not None
-        shape = distributions._shape_bias_correction(moments[0], 3)
-        assert params.shape == shape
-        assert params.rate == distributions._rate_from_mean(
-            shape, 3, float(np.mean(ys)) - params.location
-        )
+        with pytest.raises(DegenerateGroup, match="log-spread above 0, got 0.0"):
+            fit_gamma(ys)
+        assert mle_returns == []
+        assert distributions.gamma_degeneracy(ys) is not None
 
     @pytest.mark.filterwarnings("error")
     def test_a_tiny_positive_log_spread_gets_the_mle(self, monkeypatch):
-        mle_returns = spy(monkeypatch, "_shape_rate_mle")
-        moments_returns = spy(monkeypatch, "_shape_rate_moments")
+        mle_returns = spy(monkeypatch, "_shape_mle")
         ys = np.array([1.0, 1.0, 1.0 + 2**-52])
         params = fit_gamma(ys)
         (mle,) = mle_returns
-        assert mle is not None and moments_returns == []
         z = ys - params.location
         s = math.log(z.mean()) - float(np.log(z).mean())
         assert s > 0.0
-        assert abs(distributions._log_minus_digamma(mle[0]) - s) <= 1e-12 * s
-        assert params.shape == distributions._shape_bias_correction(mle[0], 3)
+        assert abs(distributions._log_minus_digamma(mle) - s) <= 1e-12 * s
+        assert params.shape == distributions._shape_bias_correction(mle, 3)
 
-    def test_non_convergence_when_both_estimators_fail(self, monkeypatch):
-        monkeypatch.setattr(distributions, "_shape_rate_mle", lambda z: None)
-        monkeypatch.setattr(distributions, "_shape_rate_moments", lambda z: None)
-        with pytest.raises(NonConvergence, match="estimation failed") as raised:
+    def test_a_tiny_log_spread_is_solved_in_one_evaluation(self, monkeypatch):
+        # s is 3.6e-15, and the closed-form start already solves the equation
+        # to the resolution of log(a): the first Newton step rounds onto it
+        calls = spy(monkeypatch, "_log_minus_digamma")
+        fit_gamma([1.0, 1.0, 1.0 + 2**-52])
+        assert len(calls) == 1
+
+    def test_non_convergence_on_invalid_final_parameters(self, monkeypatch):
+        monkeypatch.setattr(distributions, "_shape_mle", lambda s: math.nan)
+        with pytest.raises(NonConvergence, match="invalid parameters") as raised:
             fit_gamma([1.0, 2.0, 4.0])
         assert isinstance(raised.value, DapienError)
 
@@ -403,10 +429,9 @@ def test_shape_mle_solves_its_equation_inside_its_bracket(spread, draws):
     z = np.exp(spread * np.array([-1.0, 1.0, *draws]))
     s = math.log(z.mean()) - float(np.log(z).mean())
     assume(1e-12 <= s)
-    shape, rate = distributions._shape_rate_mle(z)
+    shape = distributions._shape_mle(s)
     assert 0.5 / s < shape < 1.0 / s
     assert abs(distributions._log_minus_digamma(shape) - s) <= 1e-12 * s
-    assert rate == shape / float(z.mean())
 
 
 def test_normal_quantile_against_scipy():

@@ -127,12 +127,11 @@ def test_gamma_family_small_group_error_names_input():
 
 
 def test_gamma_non_convergence_names_input(monkeypatch):
-    monkeypatch.setattr(distributions, "_shape_rate_mle", lambda z: None)
-    monkeypatch.setattr(distributions, "_shape_rate_moments", lambda z: None)
+    monkeypatch.setattr(distributions, "_shape_mle", lambda s: math.nan)
     grouped = group_by_unique_input(
         [Sample((0, 1), 1.0), Sample((0, 1), 2.0), Sample((0, 1), 4.0)]
     )
-    with pytest.raises(NonConvergence, match="group 01: gamma shape/rate estimation failed"):
+    with pytest.raises(NonConvergence, match="group 01: gamma fit produced invalid parameters"):
         build_dist_dataset(grouped, DistFamily.GAMMA)
 
 

@@ -1,6 +1,8 @@
 """End-to-end behaviour of the distribution-adaptive interval pipeline."""
 
 import math
+from functools import reduce
+from operator import getitem
 
 import numpy as np
 import pytest
@@ -302,6 +304,32 @@ def test_a_document_missing_a_field_raises_value_error(kind, path):
         target = target[step]
     del target[last]
     with pytest.raises(ValueError):
+        kind.from_dict(doc)
+
+
+@pytest.mark.parametrize("kind, path", [
+    (DapienModel, ("models", 0)),
+    (BootstrapModel, ("members", 1)),
+    (BootstrapModel, ("noise_model",)),
+])
+def test_a_member_whose_weights_are_not_a_vector_raises_value_error(kind, path):
+    doc = model_documents()[kind]
+    member = reduce(getitem, path, doc)
+    member["weights"] = [member["weights"]]  # a (1, dim) matrix with dim entries
+    with pytest.raises(ValueError, match="weights must be a vector"):
+        kind.from_dict(doc)
+
+
+@pytest.mark.parametrize("kind, path", [
+    (DapienModel, ("models", 1)),
+    (BootstrapModel, ("members", 1)),
+    (BootstrapModel, ("noise_model",)),
+])
+def test_members_that_take_different_input_dimensions_raise_value_error(kind, path):
+    doc = model_documents()[kind]
+    member = reduce(getitem, path, doc)
+    member["weights"].append(0.0)
+    with pytest.raises(ValueError, match=r"different dimensions \[3, 4\]"):
         kind.from_dict(doc)
 
 

@@ -140,6 +140,14 @@ def test_split_needs_two_groups():
         group_split(only_one, SplitSpec(test_fraction=0.5, seed=0))
 
 
+def test_split_takes_any_iterable_of_records():
+    samples = generate(GeneratorSpec(noise=NoiseKind.SCALED_WHITE, d=4, replicates=3, seed=0))
+    spec = SplitSpec(test_fraction=0.3, seed=42)
+    assert group_split(iter(samples), spec) == group_split(samples, spec)
+    with pytest.raises(TooFewGroups, match="got 0"):
+        group_split(iter([]), spec)
+
+
 def test_csv_round_trip(tmp_path):
     spec = GeneratorSpec(noise=NoiseKind.SCALED_GAMMA, d=4, replicates=3, seed=13)
     samples = generate(spec)
