@@ -10,9 +10,11 @@ function.  Every root here is found by one safeguarded Newton iteration
 (Newton steps inside an analytic bracket, bisection where a step would
 leave it): a t critical value from the lower end of its bracket, a gamma
 quantile from Wilson-Hilferty or a power-law start, and the gamma shape
-MLE, which solves ``log(a) - psi(a) = s``, from a closed-form start.  That
-shape solve is the one gamma estimator: a group whose log-spread s is not
-a finite positive has no MLE and is degenerate (``gamma_degeneracy``).
+MLE, which solves ``log(a) - psi(a) = s``, from a closed-form start.  The
+normal quantile in the first two is the standard library's
+(``statistics.NormalDist().inv_cdf``, Wichura's AS 241).  The shape solve
+is the one gamma estimator: a group whose log-spread s is not a finite
+positive has no MLE and is degenerate (``gamma_degeneracy``).
 
 Everything here is a pure function of its inputs; the parameter containers
 are frozen and safe to share across threads.
@@ -23,22 +25,22 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import statistics
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateGroup, DomainError, EmptyGroup, NonConvergence
+from .errors import DegenerateGroup, DomainError, EmptyGroup, InvalidTarget, NonConvergence
 
 _MACHEP = 2.22e-16
 _MAX_ITER = 400
 _NEWTON_MAX_ITER = 100  # pure bisection of the widest bracket collapses in about 60
 _NEWTON_TOL = 1e-15
 _NEWTON_STEP = 1e-8
-_SQRT_HALF = math.sqrt(0.5)
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_GAMMA_HALF = math.lgamma(0.5)
 _T_CACHE_SIZE = 256  # distinct (confidence, ndf) pairs kept; a fitted model uses one ndf
+_STANDARD_NORMAL = statistics.NormalDist()
 
 
 class DistFamily(Enum):
@@ -154,25 +156,18 @@ def _betacf(a, b, x):
     h = d
     for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        even = m * (b - m) * x / ((qam + m2) * (a + m2))
+        odd = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        for aa in (even, odd):  # one Lentz update per coefficient of step m
+            d = 1.0 + aa * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + aa / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _MACHEP:
             break
     return h
@@ -207,44 +202,30 @@ def _reg_inc_beta(a, b, x, log_beta):
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
 
-def _log_minus_digamma(a):
-    """``log(a) - psi(a)`` for a > 0, by upward recurrence plus an asymptotic tail.
+def _log_minus_digamma_and_slope(a):
+    """``log(a) - psi(a)`` and ``a * psi'(a) - 1`` for a > 0, from one upward recurrence.
 
-    The tail is the series of the difference itself, 1/(2x) + 1/(12x^2) -
-    ..., so no logarithm near ``psi(a)`` is subtracted from ``log(a)``, and
-    the relative precision holds however large a grows.
+    The recurrence runs up to x = a + k >= 12, and each tail is a series of
+    the difference itself from 1/(2x) on; the second uses ``a psi'(x) - 1 =
+    (a/x)(x psi'(x) - 1) - (x - a)/x``.  So nothing near ``log(a)`` or 1 is
+    subtracted, and the relative precision holds however large a grows.  The
+    first value is the gap of the gamma shape equation; the second, over the
+    squared gap, is the slope of its reciprocal in log(a).
     """
-    result, x = 0.0, a
+    gap, slope, x = 0.0, 0.0, a
     while x < 12.0:
-        result += 1.0 / x
+        gap += 1.0 / x
+        slope += a / (x * x)
         x += 1.0
-    result += math.log(a / x)
     inv = 1.0 / x
     inv2 = inv * inv
-    return result + 0.5 * inv + inv2 * (
+    gap = gap + math.log(a / x) + 0.5 * inv + inv2 * (
         1.0 / 12.0 - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 / 240.0))
     )
-
-
-def _scaled_trigamma_minus_one(a):
-    """``a * psi'(a) - 1`` for a > 0, the same way as :func:`_log_minus_digamma`.
-
-    The recurrence adds ``a / (a + j)^2`` up to x = a + k >= 12, and then
-    ``a psi'(x) - 1 = (a/x)(x psi'(x) - 1) - (x - a)/x``, where the series
-    of ``x psi'(x) - 1`` starts at 1/(2x), so nothing near 1 is subtracted.
-    It is the slope of ``1 / (log(a) - psi(a))`` in log(a), times the
-    square of the gap, for the shape MLE's Newton steps.
-    """
-    result, x = 0.0, a
-    while x < 12.0:
-        result += a / (x * x)
-        x += 1.0
-    inv = 1.0 / x
-    inv2 = inv * inv
     tail = inv * (0.5 + inv * (
         1.0 / 6.0 - inv2 * (1.0 / 30.0 - inv2 * (1.0 / 42.0 - inv2 / 30.0))
     ))
-    return result + a / x * tail - (x - a) / x
+    return gap, slope + a / x * tail - (x - a) / x
 
 
 def _invert(cdf, p, x, lo, hi):
@@ -286,23 +267,6 @@ def _invert(cdf, p, x, lo, hi):
     return x
 
 
-def _normal_quantile(p):
-    """Standard normal quantile for p in (0, 1), by Newton on ``math.erfc``."""
-    if p > 0.5:  # 1 - p is exact, and the lower tail keeps relative precision
-        return -_normal_quantile(1.0 - p)
-    # Abramowitz & Stegun 26.2.23 (absolute error below 4.5e-4) as the start
-    t = math.sqrt(-2.0 * math.log(p))
-    z = (2.515517 + t * (0.802853 + t * 0.010328)) / (
-        1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308))
-    ) - t
-
-    def cdf(x):
-        return 0.5 * math.erfc(-x * _SQRT_HALF), math.exp(-0.5 * x * x - _LOG_SQRT_2PI)
-
-    # the normal CDF is 0 below -40 in double precision
-    return _invert(cdf, p, z, -40.0, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # Gaussian family
 # ---------------------------------------------------------------------------
@@ -317,14 +281,18 @@ def fit_gaussian(ys) -> GaussianParams:
     ------
     EmptyGroup
         If ``ys`` is empty.
+    InvalidTarget
+        If a value is not finite, or the mean or the variance overflows.
     """
     ys = np.asarray(ys, dtype=np.float64)
     if ys.size == 0:
         raise EmptyGroup("cannot fit a Gaussian to an empty group")
-    mean = float(ys.mean())
-    if ys.size == 1 or np.all(ys == ys[0]):
-        return GaussianParams(mean=mean, variance=0.0)
-    return GaussianParams(mean=mean, variance=float(ys.var(ddof=1)))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        mean = float(ys.mean())
+        variance = 0.0 if ys.size == 1 or np.all(ys == ys[0]) else float(ys.var(ddof=1))
+    if not (abs(mean) < math.inf and variance < math.inf):
+        raise InvalidTarget(f"Gaussian fit needs finite mean and variance: {mean!r}, {variance!r}")
+    return GaussianParams(mean=mean, variance=variance)
 
 
 def gaussian_interval(params: GaussianParams, c: float):
@@ -378,7 +346,7 @@ def _t_critical(confidence: float, ndf: float) -> float:
             value = 1.0 - _reg_inc_beta(half, 0.5, ndf / (ndf + c2), log_beta)
         return value, math.exp(log_slope0 + r - (half + 0.5) * math.log1p(c2 / ndf))
 
-    z = -_normal_quantile(0.5 * (1.0 - confidence))
+    z = -_STANDARD_NORMAL.inv_cdf(0.5 * (1.0 - confidence))
     # P(|T| <= c) <= c * 2 f(0), and t critical values fall with ndf, from
     # the Cauchy value at ndf = 1 towards the normal value z
     lo = math.log(confidence) - log_slope0
@@ -426,7 +394,7 @@ def gamma_inverse_cdf(p: float, params: GammaParams) -> float:
     hi = math.log(a + math.sqrt(2.0 * a * t) + t)
 
     if a > 1.0:  # Wilson-Hilferty
-        w = 1.0 - 1.0 / (9.0 * a) + _normal_quantile(p) / (3.0 * math.sqrt(a))
+        w = 1.0 - 1.0 / (9.0 * a) + _STANDARD_NORMAL.inv_cdf(p) / (3.0 * math.sqrt(a))
         start = math.log(a) + 3.0 * math.log(w) if w > 0.0 else lo
     else:  # Numerical Recipes' start for invgammp at shape <= 1
         knee = 1.0 - a * (0.253 + 0.12 * a)
@@ -478,9 +446,8 @@ def _shape_mle(s):
     """
 
     def inverse_gap(y):
-        a = math.exp(y)
-        gap = _log_minus_digamma(a)
-        return 1.0 / gap, _scaled_trigamma_minus_one(a) / (gap * gap)
+        gap, slope = _log_minus_digamma_and_slope(math.exp(y))
+        return 1.0 / gap, slope / (gap * gap)
 
     lo, hi = -math.log(2.0 * s), -math.log(s)
     start = math.log((3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s))
@@ -506,8 +473,9 @@ def _gamma_anchor(ys):
 
     s is the log-spread log(mean z) - mean(log z) of the values z above
     that location.  Raises ``DegenerateGroup`` for fewer than 3 values, all
-    values equal, a spread below the float resolution of the values, or an
-    s that is not finite and positive, where the shape MLE has no root.
+    values equal, a mean that is not finite, a spread below the float
+    resolution of the values, or an s that is not finite and positive,
+    where the shape MLE has no root.
     """
     n = ys.size
     if n < 3:
@@ -515,6 +483,8 @@ def _gamma_anchor(ys):
     if np.all(ys == ys[0]):
         raise DegenerateGroup("gamma fit needs spread; all observations are equal")
     mn, mean = float(ys.min()), float(ys.mean())
+    if not abs(mean) < math.inf:
+        raise DegenerateGroup(f"gamma fit needs finite values; their mean is {mean!r}")
     loc = mn - max((mean - mn) / (n - 1), 1e-9)
     if not loc < min(mn, mean):  # the anchor rounded onto the data
         raise DegenerateGroup("gamma fit needs spread above the float resolution of the values")
@@ -556,8 +526,8 @@ def fit_gamma(ys) -> GammaParams:
         If ``ys`` is empty.
     DegenerateGroup
         Where :func:`gamma_degeneracy` names a reason: fewer than 3
-        observations, no spread above float resolution, or a log-spread s
-        that is not finite and positive.
+        observations, a mean that is not finite, no spread above float
+        resolution, or a log-spread s that is not finite and positive.
     NonConvergence
         If the final parameters are not finite and positive (defect signal).
     """

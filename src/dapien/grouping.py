@@ -133,7 +133,8 @@ def as_records(samples) -> Records:
     RaggedFeatures
         If feature vectors differ in length.
     InvalidRecord
-        If a bit is not 0 or 1, or a target is not finite.
+        If a feature vector is empty, a bit is not 0 or 1, or a target is
+        not finite.
     """
     if isinstance(samples, Records) and len(samples):
         return samples
@@ -143,6 +144,8 @@ def as_records(samples) -> Records:
     numbers: dict[tuple, int] = {}
     index = np.array([numbers.setdefault(s.x, len(numbers)) for s in samples], dtype=np.intp)
     d = len(samples[0].x)
+    if d == 0:
+        raise InvalidRecord("feature vector must not be empty")
     for x in numbers:
         if len(x) != d:
             raise RaggedFeatures(f"feature length {len(x)} differs from first sample's {d}")

@@ -259,6 +259,8 @@ def stratified_folds(ts, k: int, seed) -> np.ndarray:
     and dealt round-robin into folds, so every fold sees the full spread of
     targets and sizes differ by at most one.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     ts = np.asarray(ts, dtype=np.float64)
     n = ts.size
     if n < k:

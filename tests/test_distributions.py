@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.special import digamma
+from scipy.special import digamma, polygamma
 
 from dapien import distributions
 from dapien.distributions import (
@@ -27,7 +27,14 @@ from dapien.distributions import (
     gaussian_interval,
     t_quantile,
 )
-from dapien.errors import DapienError, DegenerateGroup, DomainError, EmptyGroup, NonConvergence
+from dapien.errors import (
+    DapienError,
+    DegenerateGroup,
+    DomainError,
+    EmptyGroup,
+    InvalidTarget,
+    NonConvergence,
+)
 from oracles import gamma_quantile_quadrature, t_two_sided_quadrature
 
 
@@ -77,6 +84,15 @@ class TestFitGaussian:
     def test_empty_group(self):
         with pytest.raises(EmptyGroup):
             fit_gaussian([])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "ys", [[1.0, math.nan], [1.0, math.inf], [1e200, -1e200], [1e308, 1e308, -1e308]]
+    )
+    def test_a_non_finite_mean_or_variance_is_an_invalid_target(self, ys):
+        # a non-finite value, or finite values whose mean or variance overflows
+        with pytest.raises(InvalidTarget, match="finite mean and variance"):
+            fit_gaussian(ys)
 
     def test_monte_carlo_recovery(self):
         rng = np.random.default_rng(42)
@@ -176,15 +192,22 @@ class TestFitGamma:
         z = ys - params.location
         s = math.log(z.mean()) - float(np.log(z).mean())
         assert s > 0.0
-        assert abs(distributions._log_minus_digamma(mle) - s) <= 1e-12 * s
+        assert abs(distributions._log_minus_digamma_and_slope(mle)[0] - s) <= 1e-12 * s
         assert params.shape == distributions._shape_bias_correction(mle, 3)
 
     def test_a_tiny_log_spread_is_solved_in_one_evaluation(self, monkeypatch):
         # s is 3.6e-15, and the closed-form start already solves the equation
         # to the resolution of log(a): the first Newton step rounds onto it
-        calls = spy(monkeypatch, "_log_minus_digamma")
+        calls = spy(monkeypatch, "_log_minus_digamma_and_slope")
         fit_gamma([1.0, 1.0, 1.0 + 2**-52])
         assert len(calls) == 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_non_finite_value_is_degenerate_and_named(self):
+        ys = [1.0, 2.0, math.nan]
+        with pytest.raises(DegenerateGroup, match="finite values; their mean is nan"):
+            fit_gamma(ys)
+        assert distributions.gamma_degeneracy(ys) == "gamma fit needs finite values; their mean is nan"
 
     def test_non_convergence_on_invalid_final_parameters(self, monkeypatch):
         monkeypatch.setattr(distributions, "_shape_mle", lambda s: math.nan)
@@ -412,12 +435,23 @@ class TestTQuantile:
 def test_log_minus_digamma_against_scipy():
     a = np.geomspace(1e-6, 1e3, 2001)
     ref = np.log(a) - digamma(a)
-    got = np.array([distributions._log_minus_digamma(x) for x in a.tolist()])
+    got = np.array([distributions._log_minus_digamma_and_slope(x)[0] for x in a.tolist()])
     assert np.all(np.abs(got - ref) <= 5e-12 * ref)
     # log(a) - digamma(a) cancels there; the series is 1/(2a) + 1/(12a^2) - ...
     for a in np.geomspace(1e6, 1e300, 60).tolist():
         ref = 0.5 / a + 1.0 / (12.0 * a * a)
-        assert abs(distributions._log_minus_digamma(a) - ref) <= 1e-15 * ref, a
+        assert abs(distributions._log_minus_digamma_and_slope(a)[0] - ref) <= 1e-15 * ref, a
+
+
+def test_scaled_trigamma_minus_one_against_scipy():
+    a = np.geomspace(1e-6, 1e3, 2001)
+    ref = a * polygamma(1, a) - 1.0
+    got = np.array([distributions._log_minus_digamma_and_slope(x)[1] for x in a.tolist()])
+    assert np.all(np.abs(got - ref) <= 1e-10 * ref)
+    # a psi'(a) - 1 cancels there; the series is 1/(2a) + 1/(6a^2) - 1/(30a^4) + ...
+    for a in np.geomspace(1e5, 1e150, 60).tolist():
+        ref = 0.5 / a + 1.0 / (6.0 * a * a)
+        assert abs(distributions._log_minus_digamma_and_slope(a)[1] - ref) <= 1e-13 * ref, a
 
 
 @given(
@@ -431,12 +465,12 @@ def test_shape_mle_solves_its_equation_inside_its_bracket(spread, draws):
     assume(1e-12 <= s)
     shape = distributions._shape_mle(s)
     assert 0.5 / s < shape < 1.0 / s
-    assert abs(distributions._log_minus_digamma(shape) - s) <= 1e-12 * s
+    assert abs(distributions._log_minus_digamma_and_slope(shape)[0] - s) <= 1e-12 * s
 
 
 def test_normal_quantile_against_scipy():
     for p in (1e-300, 1e-10, 0.001, 0.025, 0.3, 0.5, 0.7, 0.975, 0.999, 1.0 - 1e-12):
-        z = distributions._normal_quantile(p)
+        z = distributions._STANDARD_NORMAL.inv_cdf(p)
         assert abs(z - stats.norm.ppf(p)) <= 1e-13 * max(1.0, abs(z)), p
 
 

@@ -12,11 +12,14 @@ from dapien.errors import (
     DapienError,
     DegenerateGroup,
     EmptyDataset,
+    InvalidRecord,
+    InvalidTarget,
     NonConvergence,
     RaggedFeatures,
 )
 from dapien.grouping import (
     Sample,
+    as_records,
     build_dist_dataset,
     group_by_unique_input,
     mean_group_size,
@@ -61,6 +64,12 @@ def test_empty_dataset():
 def test_ragged_features():
     with pytest.raises(RaggedFeatures):
         group_by_unique_input([Sample((0, 1), 1.0), Sample((0, 1, 1), 2.0)])
+
+
+def test_an_empty_feature_vector_is_an_invalid_record():
+    # d = 0 has no CSV form: the header would be "y" alone
+    with pytest.raises(InvalidRecord, match="feature vector must not be empty"):
+        as_records([Sample((), 1.0)])
 
 
 def test_dataset_a_group_count():
@@ -133,6 +142,14 @@ def test_gamma_non_convergence_names_input(monkeypatch):
     )
     with pytest.raises(NonConvergence, match="group 01: gamma fit produced invalid parameters"):
         build_dist_dataset(grouped, DistFamily.GAMMA)
+
+
+@pytest.mark.filterwarnings("error")
+def test_gaussian_variance_overflow_names_input():
+    # both targets are finite, but their squared deviation overflows
+    samples = [Sample((0, 1), 1e200), Sample((0, 1), -1e200), Sample((1, 0), 1.0)]
+    with pytest.raises(InvalidTarget, match="group 01: Gaussian fit needs finite mean"):
+        dapien_fit(samples, DistFamily.GAUSSIAN, TrainConfig(folds=1))
 
 
 def test_dataset_a_odd_group_variances_concentrate():

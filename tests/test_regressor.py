@@ -512,6 +512,12 @@ class TestStratifiedFolds:
         with pytest.raises(TooFewSamples):
             stratified_folds([1.0, 2.0], 3, seed=0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_fewer_than_one_fold_raises(self, k):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            stratified_folds([1.0, 2.0, 3.0], k, seed=1)
+
 
 def parity_noise_table(d, seed, kind):
     """Group table like dataset A's (noise on odd bit sums) or B's (scaled)."""
