@@ -272,27 +272,42 @@ def _invert(cdf, p, x, lo, hi):
 # ---------------------------------------------------------------------------
 
 def fit_gaussian(ys) -> GaussianParams:
-    """Estimate mean and unbiased (n-1) variance of a target group.
+    """Estimate mean and unbiased (n-1) variance of a target group, or of each row of a matrix.
 
-    A single observation or a constant group yields variance 0; noiseless
-    groups are legal inputs.
+    A group ``ys`` gets float fields; a ``(groups, n)`` matrix of equal-size
+    groups gets arrays with one element per row, each bit for bit what its
+    row alone gets.  A single observation or a constant group yields
+    variance 0; noiseless groups are legal inputs.
 
     Raises
     ------
     EmptyGroup
         If ``ys`` is empty.
     InvalidTarget
-        If a value is not finite, or the mean or the variance overflows.
+        If a value is not finite, or the mean or the variance overflows;
+        for a matrix the first such row is named.
     """
     ys = np.asarray(ys, dtype=np.float64)
     if ys.size == 0:
         raise EmptyGroup("cannot fit a Gaussian to an empty group")
+    rows = ys if ys.ndim == 2 else ys.reshape(1, -1)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        mean = float(ys.mean())
-        variance = 0.0 if ys.size == 1 or np.all(ys == ys[0]) else float(ys.var(ddof=1))
-    if not (abs(mean) < math.inf and variance < math.inf):
-        raise InvalidTarget(f"Gaussian fit needs finite mean and variance: {mean!r}, {variance!r}")
-    return GaussianParams(mean=mean, variance=variance)
+        mean = rows.mean(axis=1)
+        variance = np.zeros(len(rows))
+        if rows.shape[1] > 1:  # var(ddof=1) of one value warns
+            constant = (rows == rows[:, :1]).all(axis=1)
+            variance = np.where(constant, 0.0, rows.var(axis=1, ddof=1))
+    bad = ~((abs(mean) < math.inf) & (variance < math.inf))
+    if bad.any():
+        k = int(bad.argmax())
+        at = f" (row {k})" if ys.ndim == 2 else ""
+        raise InvalidTarget(
+            f"Gaussian fit needs finite mean and variance{at}: "
+            f"{float(mean[k])!r}, {float(variance[k])!r}"
+        )
+    if ys.ndim == 2:
+        return GaussianParams(mean=mean, variance=variance)
+    return GaussianParams(mean=float(mean[0]), variance=float(variance[0]))
 
 
 def gaussian_interval(params: GaussianParams, c: float):
@@ -482,7 +497,8 @@ def _gamma_anchor(ys):
         raise DegenerateGroup(f"gamma fit needs at least 3 observations, got {n}")
     if np.all(ys == ys[0]):
         raise DegenerateGroup("gamma fit needs spread; all observations are equal")
-    mn, mean = float(ys.min()), float(ys.mean())
+    with np.errstate(over="ignore", invalid="ignore"):  # a mean that is not finite is reported below
+        mn, mean = float(ys.min()), float(ys.mean())
     if not abs(mean) < math.inf:
         raise DegenerateGroup(f"gamma fit needs finite values; their mean is {mean!r}")
     loc = mn - max((mean - mn) / (n - 1), 1e-9)

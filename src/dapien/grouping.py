@@ -3,6 +3,8 @@
 Records with identical bit vectors are collected into one group each; the
 per-group target vectors are then summarised into distribution parameters,
 producing the derived training set that the parameter regressors consume.
+Gaussian groups of one size are summarised in one call on their stacked
+targets.
 Group identity is exact bit equality and group order is first appearance,
 so downstream training is deterministic.  A ``Sample`` is not checked
 when it is built: ``as_records`` checks a record list once (bits 0 or 1,
@@ -18,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import DistFamily, fit_gamma, fit_gaussian
+from .distributions import DistFamily, GaussianParams, fit_gamma, fit_gaussian
 from .errors import DapienError, EmptyDataset, InvalidRecord, LengthMismatch, RaggedFeatures
 
 
@@ -38,7 +40,7 @@ class Records(Sequence):
     ``Sequence[Sample]`` it has a length, and ``[i]`` and iteration give
     ``Sample``s; ``==`` compares record by record with any sequence.  It is
     not a list: there is no ``append`` and no ``+``.  Only ``as_records``,
-    ``synthdata.generate`` and ``subset`` build one.
+    ``synthdata.generate``, ``synthdata.read_csv`` and ``subset`` build one.
     """
 
     __slots__ = ("inputs", "index", "targets")
@@ -124,7 +126,8 @@ def as_records(samples) -> Records:
 
     Inputs are numbered in order of first appearance and kept as tuples of
     ints, the targets as float64.  Each distinct input is checked once, the
-    targets together; this is the only code that hashes records.
+    targets together; apart from ``synthdata.read_csv``, which numbers the
+    lines of a file itself, this is the only code that hashes records.
 
     Raises
     ------
@@ -180,8 +183,15 @@ def group_by_unique_input(samples) -> GroupedDataset:
 def build_dist_dataset(grouped: GroupedDataset, family: DistFamily) -> DistDataset:
     """Fit the chosen family to every group's targets.
 
-    Fit errors are re-raised with the offending input vector attached.
+    Gaussian groups of one size are fitted in one ``fit_gaussian`` call on
+    their stacked targets, which gives each group the bits its own call
+    gives.  Fit errors are re-raised with the offending input vector
+    attached, naming the first such group in group order.
     """
+    if family is DistFamily.GAUSSIAN:
+        rows = _gaussian_rows(grouped)
+        if rows is not None:
+            return DistDataset(rows=rows, family=family)
     rows = []
     for x, ys in grouped.groups:
         try:
@@ -193,6 +203,24 @@ def build_dist_dataset(grouped: GroupedDataset, family: DistFamily) -> DistDatas
             raise type(exc)(f"group {''.join(map(str, x))}: {exc}") from exc
         rows.append((x, params))
     return DistDataset(rows=tuple(rows), family=family)
+
+
+def _gaussian_rows(grouped: GroupedDataset):
+    """Each group's ``(x, GaussianParams)`` row from one fit per group size, or None if a fit fails."""
+    by_size = {}  # group size to the positions of the groups of that size
+    for k, (_, ys) in enumerate(grouped.groups):
+        by_size.setdefault(ys.size, []).append(k)
+    means, variances = np.empty(len(grouped)), np.empty(len(grouped))
+    for members in by_size.values():
+        try:
+            params = fit_gaussian(np.stack([grouped.groups[k][1] for k in members]))
+        except DapienError:
+            return None  # the caller's per-group pass names the first failing group
+        means[members], variances[members] = params.mean, params.variance
+    return tuple(
+        (x, GaussianParams(mean=m, variance=v))
+        for (x, _), m, v in zip(grouped.groups, means.tolist(), variances.tolist())
+    )
 
 
 def mean_group_size(grouped: GroupedDataset) -> float:

@@ -38,6 +38,7 @@ from a seeded start whose output is all ones.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -257,8 +258,11 @@ def stratified_folds(ts, k: int, seed) -> np.ndarray:
 
     Samples are ranked by target value (ties broken by a seeded shuffle)
     and dealt round-robin into folds, so every fold sees the full spread of
-    targets and sizes differ by at most one.
+    targets and sizes differ by at most one.  ``k`` must be an integer (a
+    bool is not one) and at least 1.
     """
+    if not isinstance(k, numbers.Integral) or isinstance(k, bool):
+        raise TypeError(f"k must be an integer, got {k!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
     ts = np.asarray(ts, dtype=np.float64)

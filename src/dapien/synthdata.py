@@ -19,8 +19,10 @@ identifies the dataset bit for bit; one draw call per dataset keeps
 that order.  ``generate``, ``read_csv`` and ``group_split`` return a
 checked ``grouping.Records``.
 ``csv_lines`` formats records as ``x_0..x_{d-1},y`` lines for both
-``write_csv`` and the runner's ``intervals.csv``; ``read_csv`` parses each
-distinct spelling of an input once.
+``write_csv`` and the runner's ``intervals.csv``.  ``read_csv`` builds the
+``Records`` straight from the file's lines, with no per-record object: it
+splits each line at its last comma, numbers the raw text before it, and
+parses and checks each distinct spelling of an input once.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyDataset, InvalidRecord, RaggedFeatures, TooFewGroups
-from .grouping import Records, Sample, as_records
+from .grouping import Records, as_records
 
 
 class NoiseKind(Enum):
@@ -147,6 +149,17 @@ def write_csv(samples, path) -> None:
 def read_csv(path) -> Records:
     """Read and check a dataset written by :func:`write_csv`.
 
+    After the header each line is split at its last comma.  The text
+    before it is looked up among the spellings seen so far, and only a new
+    spelling is parsed as CSV cells and checked, so ``0,01``, ``0, 1`` and
+    ``"0","1"`` are one input parsed three times, and a file of repeated
+    inputs parses each once.  The text after it is the target, read by
+    ``float``; a quoted target is unquoted first.  Lines empty apart from
+    their line end are skipped; ``\r\n``, ``\n`` and ``\r`` all end a
+    line.  Quoting must be strict CSV, and no quoted cell may hold a comma
+    or a line break, both of which ``csv.reader`` would accept; a file
+    that ``write_csv`` writes has neither.
+
     Raises
     ------
     RaggedFeatures
@@ -154,32 +167,56 @@ def read_csv(path) -> Records:
     EmptyDataset
         If the file holds no records.
     InvalidRecord
-        On a missing or invalid header, an unparsable cell (naming the file
-        and row), a non-binary bit or a non-finite target.
+        On a missing or invalid header, an unparsable cell or malformed
+        quoting (naming the file and row), a non-binary bit (naming the
+        row) or a non-finite target.
     """
     path = Path(path)
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise InvalidRecord(f"{path}: empty file, expected a header row") from None
         if len(header) < 2 or header[-1] != "y":
             raise InvalidRecord(f"{path}: expected header x_0..x_{{d-1}},y")
         d = len(header) - 1
-        bits = {}  # raw bit cells to their input, so each spelling is parsed once
-        samples = []
-        for i, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != d + 1:
-                raise RaggedFeatures(
-                    f"{path}: row {i} has {len(row)} cells, expected {d + 1}"
-                )
-            cells = tuple(row[:d])
+        spellings = {}  # raw text before the last comma to its input's number
+        numbers = {}  # parsed input to its number, in order of first appearance
+        index, ys = [], []
+        for i, line in enumerate(fh, start=2):
+            head, comma, tail = line.rpartition(",")
+            number = spellings.get(head)
             try:
-                x = bits.get(cells) or bits.setdefault(cells, tuple(map(int, cells)))
-                samples.append(Sample(x, float(row[d])))
-            except ValueError as exc:
+                if number is None:  # a new spelling, or no comma ("" is never a spelling)
+                    if not (comma or line.strip("\r\n")):
+                        continue
+                    cells = _cells(head) if comma else []
+                    if len(cells) != d:
+                        raise RaggedFeatures(
+                            f"{path}: row {i} has {len(cells) + 1} cells, expected {d + 1}"
+                        )
+                    x = tuple(map(int, cells))
+                    if any(b not in (0, 1) for b in x):
+                        raise ValueError(f"feature vector must be binary, got {x}")
+                    number = spellings[head] = numbers.setdefault(x, len(numbers))
+                try:
+                    y = float(tail)  # float reads a line end as whitespace
+                except ValueError:
+                    y = float(_cells(tail.rstrip("\r\n"))[0])
+            except (ValueError, csv.Error) as exc:
                 raise InvalidRecord(f"{path}: row {i}: {exc}") from None
-    return as_records(samples)
+            index.append(number)
+            ys.append(y)
+    if not ys:
+        raise EmptyDataset(f"{path}: no records")
+    targets = np.array(ys, dtype=np.float64)
+    if not np.isfinite(targets).all():
+        raise InvalidRecord(
+            f"{path}: target must be finite, got {targets[~np.isfinite(targets)][0]}"
+        )
+    return Records._of(tuple(numbers), np.array(index, dtype=np.intp), targets)
+
+
+def _cells(text):
+    """The cells of one line's worth of CSV text; empty text is one empty cell."""
+    return next(csv.reader([text], strict=True)) or [""]

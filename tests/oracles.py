@@ -1,13 +1,20 @@
-"""Independent numerical oracles shared by the test modules.
+"""Independent oracles shared by the test modules.
 
-Everything here is deliberately written from the mathematical definitions
-(densities integrated by adaptive quadrature, roots found by brentq) and
-never calls into the package's own CDF/quantile code.
+The numerical ones are deliberately written from the mathematical
+definitions (densities integrated by adaptive quadrature, roots found by
+brentq) and never call into the package's own CDF/quantile code.  The CSV
+one parses every row with ``csv.reader`` into ``Sample``s, the way
+``read_csv`` once did, and checks them with ``as_records``.
 """
 
+import csv
 import math
+from pathlib import Path
 
 from scipy import integrate, optimize
+
+from dapien.errors import InvalidRecord, RaggedFeatures
+from dapien.grouping import Sample, as_records
 
 
 def gamma_pdf_reference(t, shape, rate, loc):
@@ -57,3 +64,28 @@ def t_two_sided_quadrature(confidence, ndf):
     while two_sided(hi) < confidence:
         hi *= 2.0
     return optimize.brentq(lambda c: two_sided(c) - confidence, 0.0, hi, xtol=1e-12)
+
+
+def read_csv_reference(path):
+    """A dataset CSV read row by row with ``csv.reader``: one ``Sample`` per record."""
+    path = Path(path)
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise InvalidRecord(f"{path}: empty file, expected a header row") from None
+        if len(header) < 2 or header[-1] != "y":
+            raise InvalidRecord(f"{path}: expected header x_0..x_{{d-1}},y")
+        d = len(header) - 1
+        samples = []
+        for i, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != d + 1:
+                raise RaggedFeatures(f"{path}: row {i} has {len(row)} cells, expected {d + 1}")
+            try:
+                samples.append(Sample(tuple(map(int, row[:d])), float(row[d])))
+            except ValueError as exc:
+                raise InvalidRecord(f"{path}: row {i}: {exc}") from None
+    return as_records(samples)

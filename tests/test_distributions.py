@@ -94,6 +94,24 @@ class TestFitGaussian:
         with pytest.raises(InvalidTarget, match="finite mean and variance"):
             fit_gaussian(ys)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 17, 20, 129])
+    def test_a_matrix_gets_each_rows_own_fit(self, n):
+        rng = np.random.default_rng(n)
+        rows = rng.normal(3.0, 10.0 ** rng.uniform(-3, 3, size=(40, 1)), size=(40, n))
+        rows[::7] = rows[::7, :1]  # constant rows
+        params = fit_gaussian(rows)
+        assert type(params.mean) is np.ndarray and params.mean.shape == (40,)
+        one_by_one = [fit_gaussian(row) for row in rows]
+        assert params.mean.tolist() == [p.mean for p in one_by_one]
+        assert params.variance.tolist() == [p.variance for p in one_by_one]
+        assert (params.variance[::7] == 0.0).all()
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_matrix_names_its_first_row_that_is_not_finite(self):
+        rows = np.array([[1.0, 2.0], [1e200, -1e200], [math.nan, 1.0]])
+        with pytest.raises(InvalidTarget, match=r"\(row 1\): 0.0, inf"):
+            fit_gaussian(rows)
+
     def test_monte_carlo_recovery(self):
         rng = np.random.default_rng(42)
         ys = rng.normal(5.0, 0.2, size=10**5)
@@ -208,6 +226,15 @@ class TestFitGamma:
         with pytest.raises(DegenerateGroup, match="finite values; their mean is nan"):
             fit_gamma(ys)
         assert distributions.gamma_degeneracy(ys) == "gamma fit needs finite values; their mean is nan"
+
+    @pytest.mark.parametrize(
+        "ys, mean", [([1e308, 1.5e308, 1.7e308], "inf"), ([math.inf, -math.inf, 1.0], "nan")]
+    )
+    def test_a_mean_that_is_not_finite_is_degenerate_without_a_warning(self, ys, mean):
+        # tier-1 turns a RuntimeWarning from the mean's reduce into an error
+        with pytest.raises(DegenerateGroup, match=f"their mean is {mean}"):
+            fit_gamma(ys)
+        assert distributions.gamma_degeneracy(ys).endswith(f"their mean is {mean}")
 
     def test_non_convergence_on_invalid_final_parameters(self, monkeypatch):
         monkeypatch.setattr(distributions, "_shape_mle", lambda s: math.nan)

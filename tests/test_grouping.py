@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from dapien import distributions
+from dapien import distributions, grouping
 from dapien.bootstrap import bootstrap_fit
-from dapien.distributions import DistFamily
+from dapien.distributions import DistFamily, fit_gaussian
 from dapien.errors import (
     DapienError,
     DegenerateGroup,
@@ -18,6 +18,7 @@ from dapien.errors import (
     RaggedFeatures,
 )
 from dapien.grouping import (
+    GroupedDataset,
     Sample,
     as_records,
     build_dist_dataset,
@@ -150,6 +151,56 @@ def test_gaussian_variance_overflow_names_input():
     samples = [Sample((0, 1), 1e200), Sample((0, 1), -1e200), Sample((1, 0), 1.0)]
     with pytest.raises(InvalidTarget, match="group 01: Gaussian fit needs finite mean"):
         dapien_fit(samples, DistFamily.GAUSSIAN, TrainConfig(folds=1))
+
+
+def interleaved_groups(sizes, seed):
+    """A GroupedDataset whose group k has sizes[k] normal draws at a scale of its own."""
+    rng = np.random.default_rng(seed)
+    groups = tuple(
+        ((k,), rng.normal(rng.normal(), 10.0 ** rng.uniform(-4, 4), size=n))
+        for k, n in enumerate(sizes)
+    )
+    return GroupedDataset(groups=groups, d=1)
+
+
+def test_gaussian_groups_of_mixed_sizes_get_their_own_fits_bit_for_bit():
+    grouped = interleaved_groups([1, 2, 3, 20] * 25 + [20, 3, 2, 1] * 25, seed=3)
+    dist = build_dist_dataset(grouped, DistFamily.GAUSSIAN)
+    assert [x for x, _ in dist.rows] == [x for x, _ in grouped.groups]
+    for (_, params), (_, ys) in zip(dist.rows, grouped.groups):
+        own = fit_gaussian(ys)
+        assert type(params.mean) is float and type(params.variance) is float
+        assert (params.mean, params.variance) == (own.mean, own.variance)
+
+
+def test_gaussian_groups_are_fitted_once_per_size(monkeypatch):
+    calls = []
+
+    def counting_fit(ys):
+        calls.append(np.shape(ys))
+        return fit_gaussian(ys)
+
+    monkeypatch.setattr(grouping, "fit_gaussian", counting_fit)
+    build_dist_dataset(interleaved_groups([3, 20, 3, 1, 20, 3], seed=4), DistFamily.GAUSSIAN)
+    assert sorted(calls) == [(1, 1), (2, 20), (3, 3)]
+
+
+@pytest.mark.filterwarnings("error")
+def test_the_first_gaussian_group_in_group_order_that_fails_is_named():
+    # the size-3 class holds a later bad group and is fitted first; the
+    # size-2 class holds the earlier one
+    grouped = interleaved_groups([3, 3, 2, 2, 3], seed=5)
+    groups = list(grouped.groups)
+    groups[2] = ((2,), np.array([1e200, -1e200]))
+    groups[4] = ((4,), np.array([1.0, math.inf, 2.0]))
+    with pytest.raises(InvalidTarget, match="group 2: Gaussian fit needs finite mean"):
+        build_dist_dataset(GroupedDataset(groups=tuple(groups), d=1), DistFamily.GAUSSIAN)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_class_of_single_record_groups_has_variance_zero_without_a_warning():
+    dist = build_dist_dataset(interleaved_groups([1, 1, 1], seed=6), DistFamily.GAUSSIAN)
+    assert [params.variance for _, params in dist.rows] == [0.0, 0.0, 0.0]
 
 
 def test_dataset_a_odd_group_variances_concentrate():

@@ -518,6 +518,16 @@ class TestStratifiedFolds:
         with pytest.raises(ValueError, match="k must be >= 1"):
             stratified_folds([1.0, 2.0, 3.0], k, seed=1)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, False, "2"])
+    def test_a_fold_count_that_is_not_an_integer_raises(self, k):
+        # 2.5 dealt three folds and True one before k had to be an integer
+        with pytest.raises(TypeError, match="k must be an integer"):
+            stratified_folds([1.0, 2.0, 3.0, 4.0, 5.0], k, seed=0)
+
+    def test_a_numpy_integer_fold_count_is_accepted(self):
+        ts = [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert stratified_folds(ts, np.int64(3), seed=0).tolist() == stratified_folds(ts, 3, seed=0).tolist()
+
 
 def parity_noise_table(d, seed, kind):
     """Group table like dataset A's (noise on odd bit sums) or B's (scaled)."""

@@ -1,13 +1,18 @@
 """Benchmark generators, split protocol and CSV round trips."""
 
 import hashlib
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dapien import synthdata
 from dapien.errors import DapienError, InvalidRecord, RaggedFeatures, TooFewGroups
-from dapien.grouping import group_by_unique_input
+from dapien.grouping import Sample, as_records, group_by_unique_input
 from dapien.synthdata import (
     GeneratorSpec,
     NoiseKind,
@@ -17,6 +22,7 @@ from dapien.synthdata import (
     read_csv,
     write_csv,
 )
+from oracles import read_csv_reference
 
 # first five uniforms of numpy's default PCG64 stream at seed 42; the
 # documented reproducibility contract for every dataset in this package
@@ -220,6 +226,139 @@ def test_csv_skips_blank_lines(tmp_path):
     records = read_csv(path)
     assert records.inputs == ((0, 1), (1, 0))
     assert records.targets.tolist() == [2.0, 3.0]
+
+
+def parse_outcome(reader, path):
+    """What ``reader`` makes of ``path``: the Records' fields, or the error class and row named."""
+    try:
+        records = reader(path)
+    except DapienError as exc:
+        row = re.search(r"row (\d+)", str(exc))
+        return type(exc), row and int(row.group(1))
+    return records.inputs, records.index.dtype, records.index.tolist(), records.targets.tobytes()
+
+
+def assert_parses_as_csv_reader_does(path):
+    """``read_csv`` gives the reference's records bit for bit, or raises its error class.
+
+    Where the reference's error names a row, ``read_csv`` names the same
+    one; it also names the row of a non-binary bit, where the reference,
+    which checks bits after reading every row, names none.
+    """
+    want, got = parse_outcome(read_csv_reference, path), parse_outcome(read_csv, path)
+    if isinstance(want[0], type):
+        assert got[0] is want[0], (got, want)
+        assert want[1] is None or got[1] == want[1], (got, want)
+    else:
+        assert got == want
+
+
+# spellings of a bit b that csv.reader and int read as b
+BIT_SPELLINGS = ("{}", "0{}", "00{}", " {}", "{} ", '"{}"', '"0{}"', '" {}"')
+TARGET_SPELLINGS = ("{!r}", " {!r}", "{!r} ", '"{!r}"')
+LINE_ENDS = ("\r\n", "\n", "\r")
+# an extra line's one replaced cell: (position, text), -1 being the target;
+# all but the quoted target are defects
+BAD_CELLS = [(0, "2"), (0, "-1"), (0, "b"), (0, "1.0"), (0, ""), (-1, "two"), (-1, ""),
+             (-1, "nan"), (-1, "-inf"), (-1, '"2.5"')]
+
+
+@st.composite
+def csv_texts(draw):
+    """A dataset CSV with random spellings, blank lines and line ends, and at most one defect."""
+    d = draw(st.integers(1, 3))
+    ends = st.sampled_from(LINE_ENDS)
+    lines = [",".join([f"x_{j}" for j in range(d)] + ["y"])]
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.booleans()):
+            lines.append("")
+        bits = draw(st.lists(st.integers(0, 1), min_size=d, max_size=d))
+        cells = [draw(st.sampled_from(BIT_SPELLINGS)).format(b) for b in bits]
+        y = draw(st.floats(allow_nan=False, allow_infinity=False))
+        lines.append(",".join(cells + [draw(st.sampled_from(TARGET_SPELLINGS)).format(y)]))
+    defect = draw(st.sampled_from([None, "only a comma", "blank", "short", "long", *BAD_CELLS]))
+    if defect is not None:
+        cells = ["1"] * d + ["2.0"]
+        if isinstance(defect, tuple):
+            cells[defect[0]] = defect[1]
+        elif defect in ("short", "long"):
+            cells = cells[1:] if defect == "short" else ["0"] + cells
+        else:
+            cells = {"only a comma": ["", ""], "blank": [" "]}[defect]
+        lines.insert(draw(st.integers(1, len(lines))), ",".join(cells))
+    text = "".join(line + draw(ends) for line in lines[:-1]) + lines[-1]
+    return text + draw(st.sampled_from(("",) + LINE_ENDS))
+
+
+@given(text=csv_texts())
+def test_csv_reads_what_csv_reader_reads(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        assert_parses_as_csv_reader_does(path)
+
+
+@given(
+    rows=st.lists(
+        st.tuples(st.integers(0, 7), st.floats(allow_nan=False, allow_infinity=False)),
+        min_size=1, max_size=40,
+    )
+)
+def test_csv_reads_back_every_file_it_writes_bit_for_bit(rows):
+    records = as_records([Sample((x & 1, x >> 1 & 1, x >> 2), y) for x, y in rows])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        write_csv(records, path)
+        back = read_csv(path)
+    assert back.inputs == records.inputs
+    assert back.index.tolist() == records.index.tolist()
+    assert back.targets.tobytes() == records.targets.tobytes()
+
+
+@pytest.mark.parametrize(
+    "text, inputs, targets",
+    [
+        ("x_0,y\n,\n", None, None),
+        ("x_0,x_1,y\n0,1,2.0\n,\n", None, None),
+        ('x_0,x_1,y\n0,1,"2.0"\n0,1,3.0\n', ((0, 1),), [2.0, 3.0]),
+        ("x_0,x_1,y\n0,1,2.0\n0,2,3.0\n", None, None),
+    ],
+    ids=["only a comma, d=1", "only a comma, d=2", "quoted target", "non-binary bit"],
+)
+def test_csv_fixed_cases_read_as_csv_reader_reads_them(tmp_path, text, inputs, targets):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    assert_parses_as_csv_reader_does(path)
+    if inputs is None:
+        with pytest.raises(DapienError):
+            read_csv(path)
+    else:
+        records = read_csv(path)
+        assert records.inputs == inputs and records.targets.tolist() == targets
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        'x_0,x_1,y\n0,"1\n",2.0\n',
+        'x_0,y\n0,"2.0\n"\n',
+        'x_0,x_1,y\n0,"1,0",2.0\n',
+        'x_0,x_1,y\n0,1,"2,5"\n',
+        'x_0,x_1,y\n0,"1,2.0\n1,1,3.0\n',
+        'x_0,y\n0,"2.0\n',
+        'x_0,y\n"0"1,2.0\n',
+    ],
+    ids=["bit with a line break", "target with a line break", "bit with a comma",
+         "target with a comma", "unterminated quote", "unterminated quoted target",
+         "text after a closing quote"],
+)
+def test_csv_quoting_that_write_csv_never_writes_raises(tmp_path, text):
+    # csv.reader accepts a quoted line break and text after a closing quote
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    with pytest.raises(DapienError):
+        read_csv(path)
 
 
 def test_csv_empty_file(tmp_path):
