@@ -520,7 +520,6 @@ class TestStratifiedFolds:
 
     @pytest.mark.parametrize("k", [2.5, 2.0, True, False, "2"])
     def test_a_fold_count_that_is_not_an_integer_raises(self, k):
-        # 2.5 dealt three folds and True one before k had to be an integer
         with pytest.raises(TypeError, match="k must be an integer"):
             stratified_folds([1.0, 2.0, 3.0, 4.0, 5.0], k, seed=0)
 
