@@ -5,8 +5,8 @@ aggregate interval metrics per method, ``intervals.csv`` with one row per
 test sample (the data behind interval plots, written by
 ``synthdata.csv_lines`` with one column per method and bound), and
 ``config.json`` echoing the resolved configuration for provenance, less
-the generator fields for a CSV dataset.  For a gamma fit the runner drops
-the training groups ``distributions.gamma_degeneracy`` names.  ``suite``
+the generator fields for a CSV dataset.  The runner drops the training
+groups that its family's ``degeneracy`` names (gamma's only).  ``suite``
 runs several experiments and tabulates PICP/MPIW per (dataset, method).
 All outputs are byte-stable for a fixed configuration.  Each output loops
 over ``METHODS``, and an ``ExperimentConfig`` builds every spec a run uses.
@@ -25,11 +25,11 @@ from pathlib import Path
 import numpy as np
 
 from .bootstrap import bootstrap_fit, bootstrap_predict_interval, bootstrap_predict_sigma
-from .distributions import DistFamily, gamma_degeneracy
+from .distributions import DistFamily
 from .errors import DapienError
 from .grouping import group_by_unique_input
 from .metrics import evaluate
-from .pipeline import dapien_fit, dapien_predict_interval, dapien_predict_point
+from .pipeline import _FAMILIES, dapien_fit, dapien_predict_interval, dapien_predict_point
 from .regressor import TrainConfig, child_seed
 from .synthdata import (
     GeneratorSpec,
@@ -147,18 +147,18 @@ def _load_samples(config: ExperimentConfig):
 
 
 def _drop_degenerate_groups(records, family: DistFamily):
-    """Remove the groups ``gamma_degeneracy`` names; returns (kept, sorted dropped keys)."""
-    if family is not DistFamily.GAMMA:
+    """Remove the groups the family's ``degeneracy`` names; returns (kept, sorted dropped keys)."""
+    degeneracy = _FAMILIES[family].degeneracy
+    if degeneracy is None:
         return records, []
     # one group per input of ``records``, in the same order
     grouped = group_by_unique_input(records)
-    bad = np.array([gamma_degeneracy(ys) is not None for _, ys in grouped.groups])
+    bad = np.array([degeneracy(ys) is not None for _, ys in grouped.groups])
     dropped = sorted(records.inputs[i] for i in np.flatnonzero(bad))
     if dropped:
         log.warning(
-            "dropping %d group(s) unusable for a gamma fit (e.g. %s)",
-            len(dropped),
-            "".join(map(str, dropped[0])),
+            "dropping %d group(s) unusable for a %s fit (e.g. %s)",
+            len(dropped), family.value, "".join(map(str, dropped[0])),
         )
     return records.subset(~bad), dropped
 

@@ -186,19 +186,18 @@ def build_dist_dataset(grouped: GroupedDataset, family: DistFamily) -> DistDatas
     Gaussian groups of one size are fitted in one ``fit_gaussian`` call on
     their stacked targets, which gives each group the bits its own call
     gives.  Fit errors are re-raised with the offending input vector
-    attached, naming the first such group in group order.
+    attached, naming the first such group in group order.  A family that is
+    not a ``DistFamily`` member raises ``ValueError``.
     """
-    if family is DistFamily.GAUSSIAN:
-        rows = _gaussian_rows(grouped)
-        if rows is not None:
-            return DistDataset(rows=rows, family=family)
+    if not isinstance(family, DistFamily):
+        raise ValueError(f"family must be a DistFamily member, got {family!r}")
+    gaussian = family is DistFamily.GAUSSIAN
+    if gaussian and (rows := _gaussian_rows(grouped)) is not None:
+        return DistDataset(rows=rows, family=family)
     rows = []
     for x, ys in grouped.groups:
         try:
-            if family is DistFamily.GAUSSIAN:
-                params = fit_gaussian(ys)
-            else:
-                params = fit_gamma(ys)
+            params = fit_gaussian(ys) if gaussian else fit_gamma(ys)
         except DapienError as exc:
             raise type(exc)(f"group {''.join(map(str, x))}: {exc}") from exc
         rows.append((x, params))

@@ -6,12 +6,13 @@ distribution parameter on the (input, parameter) pairs, and at prediction
 time plug the parameters regressed for one input, or for a matrix's rows,
 into the family's quantile machinery.
 
-For the Gaussian family the two regressors predict the mean (identity
-output) and the noise standard deviation (exponential output, so the
-predicted spread is always positive); intervals use Student-t critical
-values with the mean group size as degrees of freedom.  For the gamma
-family three regressors predict shape and rate (exponential outputs) and
-location (identity), and intervals come from the gamma inverse CDF.
+All the pipeline knows of a family is its record in ``_FAMILIES``, so
+adding a family adds one record: which regressed parameters are positive,
+a group fit's regressed values, the family's parameters from regressed
+ones, whether the interval takes a Student-t critical value at ``ndf``
+(the mean group size), the interval, the point, and the groups the family
+cannot fit.  The Gaussian regresses mean and standard deviation (t
+intervals), the gamma shape, rate and location (its inverse CDF).
 
 Unconstrained parameters are regressed by an affine model.  Each positive
 parameter gets whichever of two models wins the group cross validation
@@ -26,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,6 +37,7 @@ from .distributions import (
     GaussianParams,
     _everywhere,
     _valid_ndf,
+    gamma_degeneracy,
     gamma_interval,
     gaussian_interval,
     t_quantile,
@@ -129,6 +132,41 @@ class PredictionInterval:
         return self.upper - self.lower
 
 
+class _Family(NamedTuple):
+    """What the pipeline needs of one noise family; its parameters in ``param_models`` order."""
+
+    positive: tuple[bool, ...]  # per regressed parameter: train_positive, else identity train
+    targets: Callable  # a group's fitted parameters to its regressed values
+    params: Callable  # regressed values to the family's parameters
+    uses_ndf: bool  # whether the interval takes a t critical value at ndf
+    interval: Callable  # (params, confidence, ndf) to (lower, upper)
+    point: Callable  # params to the centre estimate
+    degeneracy: Callable | None  # why a group cannot be fitted, None if it can
+
+
+# perfbench wraps this module's t_quantile: a lambda looks it up when it runs
+_FAMILIES = {
+    DistFamily.GAUSSIAN: _Family(
+        positive=(False, True),  # mean, sigma
+        targets=lambda p: (p.mean, math.sqrt(p.variance)),
+        params=lambda mean, sigma: GaussianParams(mean, sigma * sigma),
+        uses_ndf=True,
+        interval=lambda p, confidence, ndf: gaussian_interval(p, t_quantile(confidence, ndf)),
+        point=lambda p: p.mean,
+        degeneracy=None,
+    ),
+    DistFamily.GAMMA: _Family(
+        positive=(True, True, False),  # shape, rate, location
+        targets=lambda p: (p.shape, p.rate, p.location),
+        params=GammaParams,
+        uses_ndf=False,
+        interval=lambda p, confidence, ndf: gamma_interval(p, confidence),
+        point=lambda p: p.location + p.shape / p.rate,
+        degeneracy=gamma_degeneracy,
+    ),
+}
+
+
 @dataclass(frozen=True)
 class DapienModel(ModelDocument):
     """Per-parameter regressors for one noise family.
@@ -137,8 +175,8 @@ class DapienModel(ModelDocument):
     (shape, rate, location) for the gamma family.  Each is a
     ``LinearModel``, except that a positive parameter's may be a
     ``HiddenLayerModel``.  ``ndf`` is the mean training group size, so a
-    finite real (not a bool) and at least 1; it is present exactly for the
-    Gaussian family, where it feeds the t critical value.
+    finite real (not a bool) and at least 1; it is present exactly for a
+    family whose interval takes a t critical value, the Gaussian.
     """
 
     FORMAT = "dapien-model"
@@ -150,14 +188,16 @@ class DapienModel(ModelDocument):
     ndf: float | None = None
 
     def __post_init__(self):
-        expected = 2 if self.family is DistFamily.GAUSSIAN else 3
-        if len(self.param_models) != expected:
+        if not isinstance(self.family, DistFamily):
+            raise ValueError(f"family must be a DistFamily member, got {self.family!r}")
+        record = _FAMILIES[self.family]
+        if len(self.param_models) != len(record.positive):
             raise ValueError(
-                f"{self.family.value} family needs {expected} parameter models, "
+                f"{self.family.value} family needs {len(record.positive)} parameter models, "
                 f"got {len(self.param_models)}"
             )
-        if (self.ndf is None) == (self.family is DistFamily.GAUSSIAN):
-            raise ValueError("ndf must be present exactly for the Gaussian family")
+        if (self.ndf is None) == record.uses_ndf:
+            raise ValueError("ndf must be present exactly when the interval takes a t value")
         if self.ndf is not None and not _valid_ndf(self.ndf):
             raise ValueError(
                 f"ndf must be finite and >= 1 (a real, not a bool), got {self.ndf!r}"
@@ -192,41 +232,20 @@ def dapien_fit(samples, family: DistFamily, config: TrainConfig) -> DapienModel:
 
     For the gamma family every group must satisfy the gamma fit
     preconditions (at least 3 observations, nonzero spread); grouping and
-    fit errors propagate with the offending input attached.
+    fit errors propagate with the offending input attached.  A family that
+    is not a ``DistFamily`` member raises ``ValueError``.
     """
     grouped = group_by_unique_input(samples)
-    dist = build_dist_dataset(grouped, family)
+    dist = build_dist_dataset(grouped, family)  # checks the family
+    record = _FAMILIES[family]
     X = np.asarray([x for x, _ in dist.rows], dtype=np.float64)
-    # one child seed per parameter model
-    child = [replace(config, seed=child_seed(config.seed, i)) for i in range(3)]
-
-    if family is DistFamily.GAUSSIAN:
-        means = [p.mean for _, p in dist.rows]
-        sigmas = [math.sqrt(p.variance) for _, p in dist.rows]
-        models = (
-            train(X, means, Activation.IDENTITY, child[0]),
-            train_positive(X, sigmas, child[1]),
-        )
-        return DapienModel(
-            family=family, param_models=models, ndf=mean_group_size(grouped)
-        )
-
-    shapes = [p.shape for _, p in dist.rows]
-    rates = [p.rate for _, p in dist.rows]
-    locs = [p.location for _, p in dist.rows]
-    models = (
-        train_positive(X, shapes, child[0]),
-        train_positive(X, rates, child[1]),
-        train(X, locs, Activation.IDENTITY, child[2]),
-    )
-    return DapienModel(family=family, param_models=models, ndf=None)
-
-
-def _checked_params(family_params, **values):
-    try:
-        return family_params(**values)
-    except ValueError as exc:
-        raise InvalidPrediction(f"unusable predicted parameters: {exc}") from None
+    columns = zip(*(record.targets(p) for _, p in dist.rows))
+    models = []
+    for i, (positive, t) in enumerate(zip(record.positive, columns)):
+        c = replace(config, seed=child_seed(config.seed, i))  # parameter i gets child seed i
+        models.append(train_positive(X, t, c) if positive else train(X, t, Activation.IDENTITY, c))
+    ndf = mean_group_size(grouped) if record.uses_ndf else None
+    return DapienModel(family=family, param_models=tuple(models), ndf=ndf)
 
 
 def predict_params(model: DapienModel, x):
@@ -236,11 +255,10 @@ def predict_params(model: DapienModel, x):
     falls outside its family's domain (a rate that underflows to 0, say).
     """
     values = [predict(m, x) for m in model.param_models]
-    if model.family is DistFamily.GAUSSIAN:
-        mean, sigma = values
-        return _checked_params(GaussianParams, mean=mean, variance=sigma * sigma)
-    shape, rate, loc = values
-    return _checked_params(GammaParams, shape=shape, rate=rate, location=loc)
+    try:
+        return _FAMILIES[model.family].params(*values)
+    except ValueError as exc:
+        raise InvalidPrediction(f"unusable predicted parameters: {exc}") from None
 
 
 def dapien_predict_interval(
@@ -250,16 +268,10 @@ def dapien_predict_interval(
     if not (0.0 < confidence < 1.0):
         raise DomainError(f"confidence must lie in (0, 1), got {confidence}")
     params = predict_params(model, x)
-    if model.family is DistFamily.GAUSSIAN:
-        lower, upper = gaussian_interval(params, t_quantile(confidence, model.ndf))
-    else:
-        lower, upper = gamma_interval(params, confidence)
+    lower, upper = _FAMILIES[model.family].interval(params, confidence, model.ndf)
     return PredictionInterval(lower=lower, upper=upper, confidence=confidence)
 
 
 def dapien_predict_point(model: DapienModel, x):
     """Centre estimate: predicted mean (Gaussian) or location + shape/rate."""
-    params = predict_params(model, x)
-    if model.family is DistFamily.GAUSSIAN:
-        return params.mean
-    return params.location + params.shape / params.rate
+    return _FAMILIES[model.family].point(predict_params(model, x))

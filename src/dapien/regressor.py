@@ -213,10 +213,16 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.folds < 1:
-            raise ValueError("folds must be >= 1")
+        _check_count("max_iterations", self.max_iterations)
+        _check_count("folds", self.folds)
+
+
+def _check_count(name, value) -> None:
+    """``TypeError`` unless ``value`` is an integer (a bool is not one), ``ValueError`` below 1."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
 
 
 def child_seed(seed: int, index: int) -> int:
@@ -261,10 +267,7 @@ def stratified_folds(ts, k: int, seed) -> np.ndarray:
     targets and sizes differ by at most one.  ``k`` must be an integer (a
     bool is not one) and at least 1.
     """
-    if not isinstance(k, numbers.Integral) or isinstance(k, bool):
-        raise TypeError(f"k must be an integer, got {k!r}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_count("k", k)
     ts = np.asarray(ts, dtype=np.float64)
     n = ts.size
     if n < k:

@@ -31,7 +31,7 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -168,8 +168,8 @@ def read_csv(path) -> Records:
         If the file holds no records.
     InvalidRecord
         On a missing or invalid header, an unparsable cell or malformed
-        quoting (naming the file and row), a non-binary bit (naming the
-        row) or a non-finite target.
+        quoting, a non-binary bit or a non-finite target, naming the file
+        and row.
     """
     path = Path(path)
     with open(path, newline="") as fh:
@@ -210,10 +210,12 @@ def read_csv(path) -> Records:
     if not ys:
         raise EmptyDataset(f"{path}: no records")
     targets = np.array(ys, dtype=np.float64)
-    if not np.isfinite(targets).all():
-        raise InvalidRecord(
-            f"{path}: target must be finite, got {targets[~np.isfinite(targets)][0]}"
-        )
+    bad = np.flatnonzero(~np.isfinite(targets))
+    if bad.size:  # the first bad record's row, counted as the loop above counts rows
+        with open(path, newline="") as fh:
+            next(csv.reader(fh))
+            row = next(islice((i for i, s in enumerate(fh, 2) if s.strip("\r\n")), bad[0], None))
+        raise InvalidRecord(f"{path}: row {row}: target must be finite, got {targets[bad[0]]}")
     return Records._of(tuple(numbers), np.array(index, dtype=np.intp), targets)
 
 

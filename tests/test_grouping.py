@@ -129,6 +129,13 @@ def test_build_dist_dataset_row_count_and_family():
     assert dist.family is DistFamily.GAUSSIAN
 
 
+@pytest.mark.parametrize("family", ["gaussian", "GAUSSIAN", "gamma", None])
+def test_build_dist_dataset_rejects_a_family_that_is_not_a_member(family):
+    grouped = group_by_unique_input([Sample((0, 1), y) for y in (1.0, 2.0, 4.0)])
+    with pytest.raises(ValueError, match=f"DistFamily member, got {family!r}"):
+        build_dist_dataset(grouped, family)
+
+
 def test_gamma_family_small_group_error_names_input():
     samples = [Sample((1, 0), 1.0), Sample((1, 0), 2.0)]
     grouped = group_by_unique_input(samples)

@@ -1,12 +1,15 @@
 """End-to-end behaviour of the distribution-adaptive interval pipeline."""
 
+import json
 import math
+import re
 from functools import reduce
 from operator import getitem
 
 import numpy as np
 import pytest
 
+from dapien import pipeline
 from dapien.bootstrap import BootstrapModel
 from dapien.distributions import DistFamily
 from dapien.errors import DapienError, DimensionMismatch, DomainError, InvalidPrediction
@@ -360,3 +363,61 @@ def test_prediction_intervals_compare_by_shape_and_value():
     assert batch != PredictionInterval(np.array([0.0, 1.0]), np.array([1.0, 3.0]), 0.9)
     assert batch != PredictionInterval(np.array([0.0, 1.0]), np.array([1.0, 2.0]), 0.8)
     assert batch != scalar
+
+
+FAST = TrainConfig(max_iterations=60, folds=2, seed=3)
+
+
+def small_dataset(family):
+    """15 inputs of 6 records each, drawn with the family's own noise; no group degenerate."""
+    noise = NoiseKind.SCALED_GAMMA if family is DistFamily.GAMMA else NoiseKind.SCALED_WHITE
+    samples = generate(GeneratorSpec(noise=noise, d=4, replicates=6, seed=51))
+    return [s for s in samples if sum(s.x) > 0]  # scaled noise is zero at the zero input
+
+
+@pytest.mark.parametrize("family", list(DistFamily))
+def test_every_family_fits_round_trips_and_brackets_its_point(family):
+    model = dapien_fit(small_dataset(family), family, FAST)
+    loaded = DapienModel.from_dict(json.loads(json.dumps(model.to_dict())))
+    assert loaded.to_dict() == model.to_dict()
+    U = np.array([[1, 0, 0, 0], [0, 1, 1, 0], [1, 1, 1, 1]], dtype=np.float64)
+    interval = dapien_predict_interval(loaded, U, 0.95)
+    assert interval == dapien_predict_interval(model, U, 0.95)
+    point = dapien_predict_point(loaded, U)
+    assert np.all(interval.lower <= point) and np.all(point <= interval.upper)
+
+
+@pytest.mark.parametrize("family, t_values", [(DistFamily.GAUSSIAN, 1), (DistFamily.GAMMA, 0)])
+def test_every_train_predict_and_t_quantile_call_goes_through_the_module(
+    monkeypatch, family, t_values
+):
+    # perfbench traces by replacing these module attributes; a family record
+    # that held one of the functions would make its calls invisible
+    calls = dict.fromkeys(("train", "predict", "t_quantile"), 0)
+    for name in calls:
+        def counting(*args, _name=name, _original=getattr(pipeline, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(pipeline, name, counting)
+    model = dapien_fit(small_dataset(family), family, FAST)
+    assert calls == {"train": 1, "predict": 0, "t_quantile": 0}  # one identity parameter
+    n = len(model.param_models)
+    for x in ((1, 0, 1, 0), np.ones((5, 4))):
+        calls.update(dict.fromkeys(calls, 0))
+        dapien_predict_interval(model, x, 0.9)
+        assert calls == {"train": 0, "predict": n, "t_quantile": t_values}
+        dapien_predict_point(model, x)
+        assert calls == {"train": 0, "predict": 2 * n, "t_quantile": t_values}
+
+
+@pytest.mark.parametrize("family", ["gaussian", "GAUSSIAN", None])
+class TestAFamilyThatIsNotADistFamilyMember:
+    def test_is_not_fitted(self, family):
+        with pytest.raises(ValueError, match=re.escape(f"got {family!r}")):
+            dapien_fit(small_dataset(DistFamily.GAUSSIAN), family, FAST)
+
+    def test_makes_no_model(self, family):
+        gaussian, gamma = constant_gaussian_model(1.0, 0.5), constant_gamma_model(1.4, 0.6, -2.0)
+        for models, ndf in ((gaussian.param_models, 20.0), (gamma.param_models, None)):
+            with pytest.raises(ValueError, match=re.escape(f"got {family!r}")):
+                DapienModel(family=family, param_models=models, ndf=ndf)

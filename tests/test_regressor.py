@@ -646,3 +646,26 @@ class TestTrainPositive:
         m1 = train_positive(X, sigma, TrainConfig(seed=4))
         m2 = train_positive(X, sigma, TrainConfig(seed=4))
         assert m1.to_dict() == m2.to_dict()
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field", ["max_iterations", "folds"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, False, "2"])
+    def test_a_count_that_is_not_an_integer_raises(self, field, value):
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["max_iterations", "folds"])
+    @pytest.mark.parametrize("value", [0, -1, np.int64(0)])
+    def test_a_count_below_one_raises(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            TrainConfig(**{field: value})
+
+    def test_numpy_integer_counts_train_as_ints_do(self):
+        rng = np.random.default_rng(6)
+        X = rng.integers(0, 2, size=(40, 3)).astype(np.float64)
+        t = np.exp(X @ [0.5, -0.3, 0.2] + rng.normal(0.0, 0.1, size=40))
+        ints = TrainConfig(max_iterations=40, folds=3, seed=2)
+        numpy_ints = TrainConfig(max_iterations=np.int64(40), folds=np.int64(3), seed=2)
+        fits = [train(X, t, Activation.EXPONENTIAL, c).to_dict() for c in (numpy_ints, ints)]
+        assert fits[0] == fits[1]

@@ -204,6 +204,15 @@ def test_csv_bad_target_on_a_parsed_prefix_names_its_row(tmp_path):
         read_csv(path)
 
 
+@pytest.mark.parametrize("bad", ["nan", "-inf", '"inf"'])
+def test_csv_non_finite_target_names_its_line_past_blank_lines(tmp_path, bad):
+    # lines 3 and 5 are blank, and a row ends in \r\n; the first bad target is on line 6
+    path = tmp_path / "bad.csv"
+    path.write_bytes(f"x_0,x_1,y\n0,1,2.0\n\n1,1,2.5\r\n\n0,1,{bad}\n1,0,nan\n".encode())
+    with pytest.raises(InvalidRecord, match=r"bad.csv: row 6: target must be finite, got -?(nan|inf)"):
+        read_csv(path)
+
+
 def test_csv_ragged_row(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x_0,x_1,y\n0,1,2.0\n0,1\n")
