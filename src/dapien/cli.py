@@ -6,8 +6,9 @@ test sample (the data behind interval plots, written by
 ``synthdata.csv_lines`` with one column per method and bound), and
 ``config.json`` echoing the resolved configuration for provenance, less
 the generator fields for a CSV dataset.  The runner drops the training
-groups that its family's ``degeneracy`` names (gamma's only).  ``suite``
-runs several experiments and tabulates PICP/MPIW per (dataset, method).
+groups that its family's ``degeneracy`` names (gamma's only), with one call
+per group size.  ``suite`` runs several experiments and tabulates PICP/MPIW
+per (dataset, method).
 All outputs are byte-stable for a fixed configuration.  Each output loops
 over ``METHODS``, and an ``ExperimentConfig`` builds every spec a run uses.
 """
@@ -151,9 +152,11 @@ def _drop_degenerate_groups(records, family: DistFamily):
     degeneracy = _FAMILIES[family].degeneracy
     if degeneracy is None:
         return records, []
-    # one group per input of ``records``, in the same order
+    # one group per input of ``records``, in the same order; one call per group size
     grouped = group_by_unique_input(records)
-    bad = np.array([degeneracy(ys) is not None for _, ys in grouped.groups])
+    bad = np.zeros(len(grouped), dtype=bool)
+    for members, stacked in grouped.by_size():
+        bad[members] = [reason is not None for reason in degeneracy(stacked)]
     dropped = sorted(records.inputs[i] for i in np.flatnonzero(bad))
     if dropped:
         log.warning(

@@ -14,7 +14,10 @@ MLE, which solves ``log(a) - psi(a) = s``, from a closed-form start.  The
 normal quantile in the first two is the standard library's
 (``statistics.NormalDist().inv_cdf``, Wichura's AS 241).  The shape solve
 is the one gamma estimator: a group whose log-spread s is not a finite
-positive has no MLE and is degenerate (``gamma_degeneracy``).
+positive has no MLE and is degenerate (``gamma_degeneracy``).  Both group
+fits, and ``gamma_degeneracy``, also take a ``(groups, n)`` matrix of
+equal-size groups and treat each row as its own group, bit for bit; the
+gamma anchor of every row comes from one set of matrix reductions.
 
 Everything here is a pure function of its inputs; the parameter containers
 are frozen and safe to share across threads.
@@ -57,6 +60,15 @@ def _everywhere(condition) -> bool:
     float's check in plain Python, several times faster than NumPy.
     """
     return bool(condition.all()) if isinstance(condition, np.ndarray) else bool(condition)
+
+
+def _rows(ys):
+    """``ys`` as a C-contiguous matrix of groups: a matrix as it is, anything else as one row.
+
+    On contiguous rows NumPy reduces each row as it reduces a 1-D group of
+    the same values, so a row's statistics are bit for bit its own.
+    """
+    return np.ascontiguousarray(ys if ys.ndim == 2 else ys.reshape(1, -1))
 
 
 def _valid_ndf(ndf) -> bool:
@@ -290,7 +302,7 @@ def fit_gaussian(ys) -> GaussianParams:
     ys = np.asarray(ys, dtype=np.float64)
     if ys.size == 0:
         raise EmptyGroup("cannot fit a Gaussian to an empty group")
-    rows = ys if ys.ndim == 2 else ys.reshape(1, -1)
+    rows = _rows(ys)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         mean = rows.mean(axis=1)
         variance = np.zeros(len(rows))
@@ -483,45 +495,58 @@ def _rate_from_mean(a, n, mean):
     return rate
 
 
-def _gamma_anchor(ys):
-    """The minimum and mean of ``ys``, the location anchored below the minimum, and s.
+def _gamma_anchors(rows):
+    """Each row's anchor, or the reason it has none, from whole-matrix reductions.
 
-    s is the log-spread log(mean z) - mean(log z) of the values z above
-    that location.  Raises ``DegenerateGroup`` for fewer than 3 values, all
-    values equal, a mean that is not finite, a spread below the float
-    resolution of the values, or an s that is not finite and positive,
-    where the shape MLE has no root.
+    A row's anchor is its minimum and mean, the location anchored below the
+    minimum, and s, the log-spread log(mean z) - mean(log z) of the values
+    z above that location.  The reasons, checked in this order, are fewer
+    than 3 values, all values equal, a mean that is not finite, a spread
+    below the float resolution of the values, and an s that is not finite
+    and positive, where the shape MLE has no root.  The log of a row's mean
+    z is ``math.log``'s, which ``np.log`` differs from in the last bit.
     """
-    n = ys.size
+    n = rows.shape[1]
     if n < 3:
-        raise DegenerateGroup(f"gamma fit needs at least 3 observations, got {n}")
-    if np.all(ys == ys[0]):
-        raise DegenerateGroup("gamma fit needs spread; all observations are equal")
-    with np.errstate(over="ignore", invalid="ignore"):  # a mean that is not finite is reported below
-        mn, mean = float(ys.min()), float(ys.mean())
+        return [f"gamma fit needs at least 3 observations, got {n}"] * len(rows)
+    # a row rejected below may overflow, or take the log of a z <= 0
+    with np.errstate(all="ignore"):
+        constant = (rows == rows[:, :1]).all(axis=1)
+        mn, mean = rows.min(axis=1), rows.mean(axis=1)
+        loc = mn - np.maximum((mean - mn) / (n - 1), 1e-9)
+        z = rows - loc[:, None]
+        z_mean, log_z_mean = z.mean(axis=1), np.log(z).mean(axis=1)
+    columns = (constant, mn, mean, loc, z_mean, log_z_mean)
+    return [_anchor_or_reason(*row) for row in zip(*(c.tolist() for c in columns))]
+
+
+def _anchor_or_reason(constant, mn, mean, loc, z_mean, log_z_mean):
+    """One row's anchor ``(mn, mean, loc, s)`` from its reductions, or the reason it has none."""
+    if constant:
+        return "gamma fit needs spread; all observations are equal"
     if not abs(mean) < math.inf:
-        raise DegenerateGroup(f"gamma fit needs finite values; their mean is {mean!r}")
-    loc = mn - max((mean - mn) / (n - 1), 1e-9)
+        return f"gamma fit needs finite values; their mean is {mean!r}"
     if not loc < min(mn, mean):  # the anchor rounded onto the data
-        raise DegenerateGroup("gamma fit needs spread above the float resolution of the values")
-    z = ys - loc
-    s = math.log(float(z.mean())) - float(np.log(z).mean())
+        return "gamma fit needs spread above the float resolution of the values"
+    s = math.log(z_mean) - log_z_mean
     if not (math.isfinite(s) and s > 0.0):  # Jensen keeps it >= 0 in exact arithmetic
-        raise DegenerateGroup(f"gamma fit needs a finite log-spread above 0, got {s!r}")
+        return f"gamma fit needs a finite log-spread above 0, got {s!r}"
     return mn, mean, loc, s
 
 
-def gamma_degeneracy(ys) -> str | None:
-    """Why :func:`fit_gamma` rejects the non-empty group ``ys``, or None exactly when it fits it."""
-    try:
-        _gamma_anchor(np.asarray(ys, dtype=np.float64))
-    except DegenerateGroup as exc:
-        return str(exc)
-    return None
+def gamma_degeneracy(ys):
+    """Why :func:`fit_gamma` rejects the non-empty group ``ys``, or None exactly when it fits it.
+
+    A ``(groups, n)`` matrix of equal-size groups gets a list with one
+    reason, or None, per row, each what its row alone gets.
+    """
+    ys = np.asarray(ys, dtype=np.float64)
+    reasons = [a if isinstance(a, str) else None for a in _gamma_anchors(_rows(ys))]
+    return reasons if ys.ndim == 2 else reasons[0]
 
 
 def fit_gamma(ys) -> GammaParams:
-    """Fit shape, rate and location to a target group by maximum likelihood.
+    """Fit shape, rate and location by maximum likelihood to a group, or to each matrix row.
 
     The location is anchored below the sample minimum with the offset
     ``(mean - min) / (n - 1)``, which removes the O(1/n) upward bias of the
@@ -535,6 +560,12 @@ def fit_gamma(ys) -> GammaParams:
     small-sample bias correction of the shape follows, and the rate is the
     shape over the mean of the values above the location, less its
     small-sample inflation.
+
+    A group ``ys`` gets float fields; a ``(groups, n)`` matrix of equal-size
+    groups gets arrays with one element per row, each bit for bit what its
+    row alone gets.  The anchors of all rows come from one set of matrix
+    reductions; the shape solve and what follows it run row by row.  For a
+    matrix, an error names the first row that fails.
 
     Raises
     ------
@@ -550,21 +581,30 @@ def fit_gamma(ys) -> GammaParams:
     ys = np.asarray(ys, dtype=np.float64)
     if ys.size == 0:
         raise EmptyGroup("cannot fit a gamma to an empty group")
-    n = int(ys.size)
-    mn, mean, loc, s = _gamma_anchor(ys)
-    shape = _shape_mle(s)
+    rows = _rows(ys)
+    n = rows.shape[1]
+    at = "row {}: " if ys.ndim == 2 else ""  # names a matrix row in an error
+    fitted = []
+    for k, anchor in enumerate(_gamma_anchors(rows)):
+        if isinstance(anchor, str):
+            raise DegenerateGroup(at.format(k) + anchor)
+        mn, mean, loc, s = anchor
+        shape = _shape_mle(s)
 
-    if shape >= 2.0 and n >= 200:
-        refined = _profile_location(ys, mn, mean, loc)
-        if refined is not None:
-            loc, shape = refined
+        if shape >= 2.0 and n >= 200:
+            refined = _profile_location(rows[k], mn, mean, loc)
+            if refined is not None:
+                loc, shape = refined
 
-    shape = _shape_bias_correction(shape, n)
-    rate = _rate_from_mean(shape, n, mean - loc)
+        shape = _shape_bias_correction(shape, n)
+        rate = _rate_from_mean(shape, n, mean - loc)
 
-    if not (shape > 0.0 and rate > 0.0 and math.isfinite(shape) and math.isfinite(rate)):
-        raise NonConvergence("gamma fit produced invalid parameters")
-    return GammaParams(shape=shape, rate=rate, location=loc)
+        if not (shape > 0.0 and rate > 0.0 and math.isfinite(shape) and math.isfinite(rate)):
+            raise NonConvergence(at.format(k) + "gamma fit produced invalid parameters")
+        fitted.append((shape, rate, loc))
+    if ys.ndim == 2:
+        return GammaParams(*np.array(fitted).T)
+    return GammaParams(*fitted[0])
 
 
 def _profile_location(ys, mn, mean, loc0):

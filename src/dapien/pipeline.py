@@ -141,7 +141,7 @@ class _Family(NamedTuple):
     uses_ndf: bool  # whether the interval takes a t critical value at ndf
     interval: Callable  # (params, confidence, ndf) to (lower, upper)
     point: Callable  # params to the centre estimate
-    degeneracy: Callable | None  # why a group cannot be fitted, None if it can
+    degeneracy: Callable | None  # per row of equal-size groups: why it cannot be fitted, or None
 
 
 # perfbench wraps this module's t_quantile: a lambda looks it up when it runs

@@ -19,10 +19,13 @@ identifies the dataset bit for bit; one draw call per dataset keeps
 that order.  ``generate``, ``read_csv`` and ``group_split`` return a
 checked ``grouping.Records``.
 ``csv_lines`` formats records as ``x_0..x_{d-1},y`` lines for both
-``write_csv`` and the runner's ``intervals.csv``.  ``read_csv`` builds the
-``Records`` straight from the file's lines, with no per-record object: it
-splits each line at its last comma, numbers the raw text before it, and
-parses and checks each distinct spelling of an input once.
+``write_csv`` and the runner's ``intervals.csv``; it formats each input's
+cells once, and turns the index and targets into Python lists a bounded
+chunk at a time, which ``write_csv`` joins and writes one chunk per call.
+``read_csv`` builds the ``Records`` straight from the file's lines, with
+no per-record object: it splits each line at its last comma, numbers the
+raw text before it, and parses and checks each distinct spelling of an
+input once, splitting one without a quote at its commas.
 """
 
 from __future__ import annotations
@@ -36,8 +39,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyDataset, InvalidRecord, RaggedFeatures, TooFewGroups
+from .errors import EmptyDataset, InvalidRecord, LengthMismatch, RaggedFeatures, TooFewGroups
 from .grouping import Records, as_records
+
+
+_WRITE_CHUNK = 4096  # records per list and lines per write: about 160 kB of a d=13 file
 
 
 class NoiseKind(Enum):
@@ -125,25 +131,59 @@ def group_split(samples, spec: SplitSpec) -> tuple[Records, Records]:
 def csv_lines(samples, **columns):
     """Check samples and give their CSV lines, as ``csv.writer`` writes them.
 
-    The header is ``x_0..x_{d-1},y`` and the names of ``columns``, which must
-    hold no comma, quote or line break; each column holds one float per
-    distinct input.  Each input's cells are formatted once, every float as a
-    Python float's ``repr``.  Write the lines with ``newline=""``.
+    The header is ``x_0..x_{d-1},y`` and the names of ``columns``; each
+    column holds one float per distinct input.  Each input's cells are
+    formatted once, every float as a Python float's ``repr``.  Write the
+    lines with ``newline=""``.
+
+    Raises
+    ------
+    InvalidRecord
+        If a column name holds a comma, quote or line break.
+    LengthMismatch
+        If a column does not hold one value per distinct input.
     """
     records = as_records(samples)
-    header = ",".join([f"x_{j}" for j in range(len(records.inputs[0]))] + ["y", *columns])
-    heads = [",".join(map(str, x)) + "," for x in records.inputs]
-    table = np.asarray(list(columns.values()), dtype=np.float64).reshape(len(columns), len(heads))
-    tails = ["".join("," + repr(v) for v in row) + "\r\n" for row in table.T.tolist()]
-    index, targets = records.index.tolist(), records.targets.tolist()
-    return chain([header + "\r\n"], (heads[i] + repr(y) + tails[i] for i, y in zip(index, targets)))
+    p, d = len(records.inputs), len(records.inputs[0])
+    table = []
+    for name, values in columns.items():
+        if any(c in name for c in ',"\r\n'):
+            raise InvalidRecord(f"column name {name!r} holds a comma, quote or line break")
+        values = np.asarray(values, dtype=np.float64)
+        if values.shape != (p,):
+            raise LengthMismatch(
+                f"column {name!r} needs one value per distinct input ({p}), "
+                f"got shape {values.shape}"
+            )
+        table.append(values.tolist())
+    header = ",".join([f"x_{j}" for j in range(d)] + ["y", *columns])
+    heads = ["%d," * d % x for x in records.inputs]
+    tails = ["".join("," + repr(v) for v in row) + "\r\n" for row in zip(*table)] or ["\r\n"] * p
+    return chain([header + "\r\n"], _record_lines(heads, tails, records.index, records.targets))
+
+
+def _record_lines(heads, tails, index, targets):
+    """Record i's line, ``heads[index[i]] + repr(targets[i]) + tails[index[i]]``, for each i.
+
+    The arrays become Python lists ``_WRITE_CHUNK`` records at a time,
+    which bounds the memory those lists take.
+    """
+    for start in range(0, index.size, _WRITE_CHUNK):
+        part = slice(start, start + _WRITE_CHUNK)
+        for i, y in zip(index[part].tolist(), targets[part].tolist()):
+            yield heads[i] + repr(y) + tails[i]
 
 
 def write_csv(samples, path) -> None:
-    """Check samples, then write them as ``x_0..x_{d-1}, y`` with full float precision."""
+    """Check samples, then write them as ``x_0..x_{d-1}, y`` with full float precision.
+
+    The lines are joined and written ``_WRITE_CHUNK`` at a time, which
+    bounds the memory that joined lines take.
+    """
     lines = csv_lines(samples)  # checks the samples before the file is opened
     with open(path, "w", newline="") as fh:
-        fh.writelines(lines)
+        while chunk := "".join(islice(lines, _WRITE_CHUNK)):
+            fh.write(chunk)
 
 
 def read_csv(path) -> Records:
@@ -153,7 +193,8 @@ def read_csv(path) -> Records:
     before it is looked up among the spellings seen so far, and only a new
     spelling is parsed as CSV cells and checked, so ``0,01``, ``0, 1`` and
     ``"0","1"`` are one input parsed three times, and a file of repeated
-    inputs parses each once.  The text after it is the target, read by
+    inputs parses each once.  A spelling without a quote is split at its
+    commas, which is what ``csv.reader`` makes of it.  The text after it is the target, read by
     ``float``; a quoted target is unquoted first.  Lines empty apart from
     their line end are skipped; ``\r\n``, ``\n`` and ``\r`` all end a
     line.  Quoting must be strict CSV, and no quoted cell may hold a comma
@@ -183,20 +224,22 @@ def read_csv(path) -> Records:
         spellings = {}  # raw text before the last comma to its input's number
         numbers = {}  # parsed input to its number, in order of first appearance
         index, ys = [], []
-        for i, line in enumerate(fh, start=2):
+        number_of, add_number, add_target = spellings.get, index.append, ys.append
+        for line in fh:
             head, comma, tail = line.rpartition(",")
-            number = spellings.get(head)
+            number = number_of(head)
             try:
                 if number is None:  # a new spelling, or no comma ("" is never a spelling)
                     if not (comma or line.strip("\r\n")):
                         continue
-                    cells = _cells(head) if comma else []
+                    cells = (_cells(head) if '"' in head else head.split(",")) if comma else []
                     if len(cells) != d:
                         raise RaggedFeatures(
-                            f"{path}: row {i} has {len(cells) + 1} cells, expected {d + 1}"
+                            f"{path}: row {_row(path, len(ys))} has {len(cells) + 1} cells, "
+                            f"expected {d + 1}"
                         )
                     x = tuple(map(int, cells))
-                    if any(b not in (0, 1) for b in x):
+                    if x.count(0) + x.count(1) != d:
                         raise ValueError(f"feature vector must be binary, got {x}")
                     number = spellings[head] = numbers.setdefault(x, len(numbers))
                 try:
@@ -204,19 +247,29 @@ def read_csv(path) -> Records:
                 except ValueError:
                     y = float(_cells(tail.rstrip("\r\n"))[0])
             except (ValueError, csv.Error) as exc:
-                raise InvalidRecord(f"{path}: row {i}: {exc}") from None
-            index.append(number)
-            ys.append(y)
+                raise InvalidRecord(f"{path}: row {_row(path, len(ys))}: {exc}") from None
+            add_number(number)
+            add_target(y)
     if not ys:
         raise EmptyDataset(f"{path}: no records")
     targets = np.array(ys, dtype=np.float64)
     bad = np.flatnonzero(~np.isfinite(targets))
-    if bad.size:  # the first bad record's row, counted as the loop above counts rows
-        with open(path, newline="") as fh:
-            next(csv.reader(fh))
-            row = next(islice((i for i, s in enumerate(fh, 2) if s.strip("\r\n")), bad[0], None))
-        raise InvalidRecord(f"{path}: row {row}: target must be finite, got {targets[bad[0]]}")
+    if bad.size:
+        raise InvalidRecord(
+            f"{path}: row {_row(path, bad[0])}: target must be finite, got {targets[bad[0]]}"
+        )
     return Records._of(tuple(numbers), np.array(index, dtype=np.intp), targets)
+
+
+def _row(path, record):
+    """The file line of record number ``record``, counted as ``read_csv`` counts lines.
+
+    ``read_csv`` keeps no line numbers; only an error, which names its row,
+    reads the file again up to that record.
+    """
+    with open(path, newline="") as fh:
+        next(csv.reader(fh))
+        return next(islice((i for i, s in enumerate(fh, 2) if s.strip("\r\n")), record, None))
 
 
 def _cells(text):

@@ -3,14 +3,16 @@
 The numerical ones are deliberately written from the mathematical
 definitions (densities integrated by adaptive quadrature, roots found by
 brentq) and never call into the package's own CDF/quantile code.  The CSV
-one parses every row with ``csv.reader`` into ``Sample``s, the way
-``read_csv`` once did, and checks them with ``as_records``.
+reader parses every row with ``csv.reader`` into ``Sample``s, the way
+``read_csv`` once did, and checks them with ``as_records``; the CSV writer
+joins the one generator of lines that ``csv_lines`` once returned.
 """
 
 import csv
 import math
 from pathlib import Path
 
+import numpy as np
 from scipy import integrate, optimize
 
 from dapien.errors import InvalidRecord, RaggedFeatures
@@ -66,6 +68,29 @@ def t_two_sided_quadrature(confidence, ndf):
     return optimize.brentq(lambda c: two_sided(c) - confidence, 0.0, hi, xtol=1e-12)
 
 
+def gamma_anchor_reference(ys):
+    """One group's gamma anchor ``(min, mean, location, s)`` from its own 1-D reductions.
+
+    This is the anchor ``fit_gamma`` computed group by group: s is
+    ``math.log`` of the mean z less the mean of ``np.log`` z.  A degenerate
+    group gets None.
+    """
+    ys = np.asarray(ys, dtype=np.float64)
+    n = ys.size
+    if n < 3 or np.all(ys == ys[0]):
+        return None
+    with np.errstate(all="ignore"):
+        mn, mean = float(ys.min()), float(ys.mean())
+    if not abs(mean) < math.inf:
+        return None
+    loc = mn - max((mean - mn) / (n - 1), 1e-9)
+    if not loc < min(mn, mean):
+        return None
+    z = ys - loc
+    s = math.log(float(z.mean())) - float(np.log(z).mean())
+    return (mn, mean, loc, s) if math.isfinite(s) and s > 0.0 else None
+
+
 def read_csv_reference(path):
     """A dataset CSV read row by row with ``csv.reader``: one ``Sample`` per record."""
     path = Path(path)
@@ -89,3 +114,14 @@ def read_csv_reference(path):
             except ValueError as exc:
                 raise InvalidRecord(f"{path}: row {i}: {exc}") from None
     return as_records(samples)
+
+
+def csv_text_reference(samples, **columns):
+    """The whole CSV text of records and one float column per distinct input, in one string."""
+    records = as_records(samples)
+    header = ",".join([f"x_{j}" for j in range(len(records.inputs[0]))] + ["y", *columns])
+    heads = [",".join(map(str, x)) + "," for x in records.inputs]
+    table = np.asarray(list(columns.values()), dtype=np.float64).reshape(len(columns), len(heads))
+    tails = ["".join("," + repr(v) for v in row) + "\r\n" for row in table.T.tolist()]
+    index, targets = records.index.tolist(), records.targets.tolist()
+    return header + "\r\n" + "".join(heads[i] + repr(y) + tails[i] for i, y in zip(index, targets))

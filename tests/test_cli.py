@@ -4,8 +4,10 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
+from dapien import cli, pipeline
 from dapien.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -15,7 +17,8 @@ from dapien.cli import (
     run_experiment,
     run_suite,
 )
-from dapien.grouping import Sample
+from dapien.distributions import DistFamily
+from dapien.grouping import Sample, as_records
 from dapien.synthdata import GeneratorSpec, NoiseKind, generate, write_csv
 
 
@@ -129,6 +132,32 @@ def test_the_runner_drops_what_the_gamma_fit_rejects(tmp_path):
     assert report["dapien"]["n"] > 0
     echo = json.loads((tmp_path / "exp" / "config.json").read_text())
     assert echo["dropped_groups"] == ["0000", "1111"]
+
+
+def test_the_runner_checks_each_group_size_in_one_call(monkeypatch):
+    # five groups of sizes 4, 3, 3, 4, 3; the three of size 3 are degenerate
+    groups = {
+        (0, 0, 0): [1.0, 1.5, 2.7, 1.2],
+        (0, 0, 1): [3e7, 3e7, 3e7 + 3.7e-9],
+        (0, 1, 0): [1.0, 1.0 + 2**-52, 1.0 + 2**-52],
+        (0, 1, 1): [2.0, 2.25, 4.0, 3.1],
+        (1, 0, 0): [2.0, 2.0, 2.0],
+    }
+    records = as_records([Sample(x, y) for x, ys in groups.items() for y in ys])
+    family = pipeline._FAMILIES[DistFamily.GAMMA]
+    calls = []
+
+    def counting_degeneracy(ys):
+        calls.append(np.shape(ys))
+        return family.degeneracy(ys)
+
+    monkeypatch.setitem(
+        pipeline._FAMILIES, DistFamily.GAMMA, family._replace(degeneracy=counting_degeneracy)
+    )
+    kept, dropped = cli._drop_degenerate_groups(records, DistFamily.GAMMA)
+    assert calls == [(2, 4), (3, 3)]
+    assert dropped == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    assert kept.inputs == ((0, 0, 0), (0, 1, 1))
 
 
 def test_config_echo_of_a_csv_run_leaves_out_the_generator_fields(tmp_path):

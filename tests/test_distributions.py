@@ -35,7 +35,9 @@ from dapien.errors import (
     InvalidTarget,
     NonConvergence,
 )
-from oracles import gamma_quantile_quadrature, t_two_sided_quadrature
+from dapien.grouping import group_by_unique_input
+from dapien.synthdata import GeneratorSpec, NoiseKind, generate
+from oracles import gamma_anchor_reference, gamma_quantile_quadrature, t_two_sided_quadrature
 
 
 def spy(monkeypatch, name):
@@ -169,6 +171,117 @@ def test_gamma_degeneracy_is_the_whole_precondition_of_fit_gamma(ys):
         assert reason == str(exc)
     else:
         assert reason is None
+
+
+@st.composite
+def gamma_matrices(draw):
+    """A few equal-size groups of shifted, scaled gamma draws, n from 3 to 230."""
+    n = draw(st.integers(3, 230))
+    shape = draw(st.sampled_from([0.3, 1.0, 2.5, 8.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    scale = 10.0 ** rng.uniform(-3, 3, size=(draw(st.integers(1, 4)), 1))
+    return rng.uniform(-100, 100, size=scale.shape) + scale * rng.gamma(shape, size=(len(scale), n))
+
+
+def assert_rows_fitted_alone(rows):
+    params = fit_gamma(rows)
+    for field in ("shape", "rate", "location"):
+        assert type(getattr(params, field)) is np.ndarray
+    for k, row in enumerate(rows):
+        own = fit_gamma(row)
+        assert type(own.shape) is float
+        assert (params.shape[k], params.rate[k], params.location[k]) == (
+            own.shape, own.rate, own.location
+        )
+
+
+@pytest.mark.filterwarnings("error")
+@given(rows=gamma_matrices())
+@example(rows=3.0 + np.random.default_rng(8).gamma(6.0, 0.5, size=(2, 240)))  # profile location
+def test_a_gamma_matrix_gets_each_rows_own_fit(rows):
+    assert_rows_fitted_alone(rows)
+
+
+def test_a_fortran_ordered_matrix_gets_each_rows_own_fits():
+    # NumPy sums the rows of a column-major matrix in another order, which
+    # moves most row means of 200 values by an ulp
+    rows = np.asfortranarray(1.0 + np.random.default_rng(9).gamma(1.5, 2.0, size=(30, 200)))
+    assert_rows_fitted_alone(rows)
+    gaussian = fit_gaussian(rows)
+    assert gaussian.mean.tolist() == [fit_gaussian(row).mean for row in rows]
+    assert gaussian.variance.tolist() == [fit_gaussian(row).variance for row in rows]
+
+
+def test_the_matrix_anchor_is_each_groups_own_on_dataset_c_at_d13():
+    # math.log and np.log of a row mean differ in about 3 of 10,000 values,
+    # so a d=13 dataset tells them apart
+    records = generate(GeneratorSpec(NoiseKind.SCALED_GAMMA, d=13, replicates=20, seed=101))
+    rows = np.stack([ys for x, ys in group_by_unique_input(records).groups if sum(x)])
+    anchors = [a if isinstance(a, tuple) else None for a in distributions._gamma_anchors(rows)]
+    assert anchors == [gamma_anchor_reference(row) for row in rows]
+    assert None not in anchors
+
+
+def test_a_gamma_matrix_row_takes_the_profile_location_as_its_own_fit_does(monkeypatch):
+    refined = spy(monkeypatch, "_profile_location")
+    rows = 3.0 + np.random.default_rng(8).gamma(6.0, 0.5, size=(2, 240))
+    assert_rows_fitted_alone(rows)
+    # each row once in the matrix and once alone, each moved off the anchor
+    assert len(refined) == 4 and None not in refined
+
+
+# one group that each reason rejects, all of 3 values; the first two need
+# no warning to escape from the mean's reduction
+DEGENERATE_ROWS = {
+    "finite values; their mean is inf": [1e308, 1.5e308, 1.7e308],
+    "finite values; their mean is nan": [math.inf, -math.inf, 1.0],
+    "spread; all observations are equal": [2.0, 2.0, 2.0],
+    "spread above the float resolution of the values": [3e7, 3e7, 3e7 + 3.7e-9],
+    "log-spread above 0, got 0.0": [1.0, 1.0 + 2**-52, 1.0 + 2**-52],
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("reason", DEGENERATE_ROWS)
+def test_a_degenerate_matrix_row_is_named(reason):
+    rows = np.array([[1.0, 2.0, 4.0], DEGENERATE_ROWS[reason], [0.5, 3.0, 3.5]])
+    own = distributions.gamma_degeneracy(rows[1])
+    assert own.startswith("gamma fit needs ") and own.endswith(reason)
+    assert distributions.gamma_degeneracy(rows) == [None, own, None]
+    with pytest.raises(DegenerateGroup) as raised:
+        fit_gamma(rows)
+    assert str(raised.value) == f"row 1: {own}"
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_matrix_of_two_value_groups_is_degenerate_in_every_row():
+    rows = np.array([[1.0, 2.0], [3.0, 5.0]])
+    reason = "gamma fit needs at least 3 observations, got 2"
+    assert distributions.gamma_degeneracy(rows) == [reason, reason]
+    with pytest.raises(DegenerateGroup, match=f"^row 0: {reason}$"):
+        fit_gamma(rows)
+
+
+@pytest.mark.filterwarnings("error")
+@given(
+    rows=st.integers(1, 6).flatmap(
+        lambda n: st.lists(
+            st.one_of(group_values, near_constant_groups(),
+                      st.lists(st.sampled_from([1e308, -1e308, math.inf, math.nan, 1.0]))
+                      ).map(lambda ys: (ys * n)[:n]).filter(lambda ys: len(ys) == n),
+            min_size=1, max_size=5,
+        )
+    )
+)
+def test_gamma_degeneracy_of_a_matrix_is_each_rows_own(rows):
+    assert distributions.gamma_degeneracy(rows) == [distributions.gamma_degeneracy(r) for r in rows]
+
+
+def test_a_matrix_non_convergence_names_its_row(monkeypatch):
+    monkeypatch.setattr(distributions, "_shape_mle", lambda s: math.nan if s > 0.3 else 1.0)
+    rows = np.array([[1.0, 1.1, 1.2], [1.0, 2.0, 40.0]])
+    with pytest.raises(NonConvergence, match="^row 1: gamma fit produced invalid parameters$"):
+        fit_gamma(rows)
 
 
 class TestFitGamma:

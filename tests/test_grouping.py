@@ -1,13 +1,14 @@
 """Grouping of records by unique input and the derived parameter dataset."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from dapien import distributions, grouping
 from dapien.bootstrap import bootstrap_fit
-from dapien.distributions import DistFamily, fit_gaussian
+from dapien.distributions import DistFamily, fit_gamma, fit_gaussian
 from dapien.errors import (
     DapienError,
     DegenerateGroup,
@@ -208,6 +209,41 @@ def test_the_first_gaussian_group_in_group_order_that_fails_is_named():
 def test_a_class_of_single_record_groups_has_variance_zero_without_a_warning():
     dist = build_dist_dataset(interleaved_groups([1, 1, 1], seed=6), DistFamily.GAUSSIAN)
     assert [params.variance for _, params in dist.rows] == [0.0, 0.0, 0.0]
+
+
+def test_gamma_groups_are_fitted_once_per_size_bit_for_bit(monkeypatch):
+    calls = []
+
+    def counting_fit(ys):
+        calls.append(np.shape(ys))
+        return fit_gamma(ys)
+
+    grouped = interleaved_groups([3, 20, 3, 5, 20, 3], seed=7)
+    monkeypatch.setattr(grouping, "fit_gamma", counting_fit)
+    dist = build_dist_dataset(grouped, DistFamily.GAMMA)
+    assert sorted(calls) == [(1, 5), (2, 20), (3, 3)]
+    assert [x for x, _ in dist.rows] == [x for x, _ in grouped.groups]
+    for (_, params), (_, ys) in zip(dist.rows, grouped.groups):
+        own = fit_gamma(ys)
+        assert type(params.shape) is float
+        assert (params.shape, params.rate, params.location) == (own.shape, own.rate, own.location)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [
+    [1e308, 1.5e308, 1.7e308, 1.6e308], [math.inf, -math.inf, 1.0, 1.0], [2.0, 2.0, 2.0, 2.0],
+    [3e7, 3e7, 3e7 + 3.7e-9, 3e7], [1.0, 1.0 + 2**-52, 1.0 + 2**-52, 1.0 + 2**-52],
+])
+def test_the_first_gamma_group_in_group_order_that_fails_is_named(bad):
+    # the size-3 class is fitted first and holds the later bad group, group 3
+    grouped = interleaved_groups([3, 3, 4, 3], seed=8)
+    groups = list(grouped.groups)
+    groups[2] = ((2,), np.array(bad))
+    groups[3] = ((3,), np.array(bad[:3]))
+    reason = distributions.gamma_degeneracy(bad)
+    assert reason is not None and distributions.gamma_degeneracy(bad[:3]) is not None
+    with pytest.raises(DegenerateGroup, match=f"^group 2: {re.escape(reason)}$"):
+        build_dist_dataset(GroupedDataset(groups=tuple(groups), d=1), DistFamily.GAMMA)
 
 
 def test_dataset_a_odd_group_variances_concentrate():

@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dapien.errors import EmptyDataset, LengthMismatch
+from dapien import synthdata
+from dapien.errors import DapienError, EmptyDataset, LengthMismatch
 from dapien.grouping import Records, Sample, as_records
 from dapien.synthdata import (
     GeneratorSpec,
@@ -30,6 +31,7 @@ from dapien.synthdata import (
     read_csv,
     write_csv,
 )
+from oracles import csv_text_reference
 
 EXTREME_TARGETS = [-0.0, 0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 1 / 3, -2.5]
 EXTREME_VALUES = [*EXTREME_TARGETS, math.nan, math.inf, -math.inf]
@@ -131,8 +133,41 @@ def test_csv_lines_need_one_value_per_input_and_check_first(tmp_path):
     assert not (tmp_path / "empty.csv").exists()
     records = as_records([Sample((0,), 1.0), Sample((1,), 2.0), Sample((0,), 3.0)])
     assert "".join(csv_lines(records, z=[0.5, 1.5])).endswith("0,3.0,0.5\r\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(LengthMismatch, match=r"column 'z' needs one value per distinct input \(2\)"):
         csv_lines(records, z=[0.5, 1.5, 2.5])
+
+
+@pytest.mark.parametrize("offset", [-2, -1, 0, 1])
+def test_csv_text_is_the_reference_writers_at_the_chunk_boundaries(tmp_path, offset):
+    # with the header, -1 and 0 fill the first write to one short of and
+    # exactly _WRITE_CHUNK lines; 0 and 1 fill the first list of records
+    rng = np.random.default_rng(offset + 2)
+    n = synthdata._WRITE_CHUNK + offset
+    targets = np.where(
+        rng.random(n) < 0.1, rng.choice(EXTREME_TARGETS, size=n), rng.lognormal(0.0, 5.0, size=n)
+    )
+    records = as_records([
+        Sample(tuple(x), y) for x, y in zip(rng.integers(0, 2, size=(n, 3)).tolist(), targets.tolist())
+    ])
+    p = len(records.inputs)
+    columns = {"lo": rng.normal(size=p), "hi": rng.choice(EXTREME_VALUES, size=p)}
+    write_csv(records, tmp_path / "data.csv")
+    assert (tmp_path / "data.csv").read_bytes() == csv_text_reference(records).encode()
+    assert "".join(csv_lines(records, **columns)) == csv_text_reference(records, **columns)
+
+
+@pytest.mark.parametrize("values", [[0.5], [[0.5, 1.5]], 0.5])
+def test_a_column_of_the_wrong_length_is_named(values):
+    records = as_records([Sample((0,), 1.0), Sample((1,), 2.0), Sample((0,), 3.0)])
+    with pytest.raises(LengthMismatch, match=r"^column 'z' needs one value per distinct input \(2\)"):
+        csv_lines(records, lo=[0.0, 1.0], z=values)
+
+
+@pytest.mark.parametrize("name", ["bad,name", 'say"', "two\nlines", "cr\r"])
+def test_a_column_name_csv_would_quote_is_rejected(name):
+    records = as_records([Sample((0,), 1.0), Sample((1,), 2.0)])
+    with pytest.raises(DapienError, match="holds a comma, quote or line break"):
+        csv_lines(records, **{name: [0.5, 1.5]})
 
 
 def test_the_data_functions_return_records(tmp_path):
