@@ -2,9 +2,10 @@
 
 Records with identical bit vectors are collected into one group each; the
 per-group target vectors are then summarised into distribution parameters,
-producing the derived training set that the parameter regressors consume.
-The groups of one size are summarised in one call on their stacked
-targets, for either family.
+producing the derived training set that the parameter regressors consume:
+a ``DistDataset`` of the groups' input matrix and one parameter record
+with an array element per group.  The groups of one size are summarised
+in one call on their stacked targets, for either family.
 Group identity is exact bit equality and group order is first appearance,
 so downstream training is deterministic.  A ``Sample`` is not checked
 when it is built: ``as_records`` checks a record list once (bits 0 or 1,
@@ -20,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import DistFamily, fit_gamma, fit_gaussian
+from .distributions import DistFamily, GammaParams, GaussianParams, fit_gamma, fit_gaussian
 from .errors import DapienError, EmptyDataset, InvalidRecord, LengthMismatch, RaggedFeatures
 
 
@@ -104,7 +105,6 @@ class GroupedDataset:
     """Distinct input vectors paired with all targets observed for each."""
 
     groups: tuple[tuple[tuple[int, ...], np.ndarray], ...]
-    d: int
 
     def __len__(self):
         return len(self.groups)
@@ -125,10 +125,17 @@ class GroupedDataset:
 
 @dataclass(frozen=True)
 class DistDataset:
-    """Per-unique-input distribution parameters, one row per group."""
+    """The derived training set, in group order: group inputs and their fitted parameters.
 
-    rows: tuple
-    family: DistFamily
+    ``rows`` is the ``(groups, d)`` float64 matrix of group inputs and
+    ``params`` the family's parameter record (``GaussianParams`` or
+    ``GammaParams``) with one array element per group, the format
+    ``fit_gaussian``, ``fit_gamma`` and ``pipeline.predict_params`` give
+    for a matrix.
+    """
+
+    rows: np.ndarray
+    params: GaussianParams | GammaParams
 
 
 def as_records(samples) -> Records:
@@ -188,7 +195,7 @@ def group_by_unique_input(samples) -> GroupedDataset:
     bounds = [0, *np.cumsum(np.bincount(records.index)).tolist()]
     # slicing views directly is several times faster than np.split's per-piece calls
     groups = tuple(zip(records.inputs, [by_group[a:b] for a, b in zip(bounds, bounds[1:])]))
-    return GroupedDataset(groups=groups, d=len(records.inputs[0]))
+    return GroupedDataset(groups=groups)
 
 
 def build_dist_dataset(grouped: GroupedDataset, family: DistFamily) -> DistDataset:
@@ -197,40 +204,31 @@ def build_dist_dataset(grouped: GroupedDataset, family: DistFamily) -> DistDatas
     The groups of one size are fitted in one ``fit_gaussian`` or
     ``fit_gamma`` call on their stacked targets, which gives each group the
     bits its own call gives.  If a fit fails, each group is fitted on its
-    own, and the error is re-raised with the offending input vector
-    attached, naming the first such group in group order.  A family that is
-    not a ``DistFamily`` member raises ``ValueError``.
+    own until one fails, and that error is re-raised with the offending
+    input vector attached, naming the first such group in group order.  A
+    family that is not a ``DistFamily`` member raises ``ValueError``, and
+    no groups raise ``EmptyDataset``.
     """
     if not isinstance(family, DistFamily):
         raise ValueError(f"family must be a DistFamily member, got {family!r}")
-    # looked up when called, so a wrapper set on this module sees the calls
-    fit = fit_gaussian if family is DistFamily.GAUSSIAN else fit_gamma
-    rows = _rows_by_size(grouped, fit)
-    if rows is None:
-        rows = []
+    if not grouped.groups:
+        raise EmptyDataset("no groups to fit")
+    # the fit is looked up when called, so a wrapper set on this module sees the calls
+    gaussian = family is DistFamily.GAUSSIAN
+    fit, kind = (fit_gaussian, GaussianParams) if gaussian else (fit_gamma, GammaParams)
+    columns = np.empty((len(fields(kind)), len(grouped)))  # a row per field, a column per group
+    try:
+        for members, stacked in grouped.by_size():
+            params = fit(stacked)
+            columns[:, members] = [getattr(params, f.name) for f in fields(kind)]
+    except DapienError:
         for x, ys in grouped.groups:
             try:
-                rows.append((x, fit(ys)))
+                fit(ys)
             except DapienError as exc:
                 raise type(exc)(f"group {''.join(map(str, x))}: {exc}") from exc
-    return DistDataset(rows=tuple(rows), family=family)
-
-
-def _rows_by_size(grouped: GroupedDataset, fit):
-    """Each group's ``(x, params)`` row from one ``fit`` per group size, or None if one fails."""
-    columns = kind = None  # one row per parameter field, one column per group
-    for members, stacked in grouped.by_size():
-        try:
-            params = fit(stacked)
-        except DapienError:
-            return None  # the caller's per-group pass names the first failing group
-        values = [getattr(params, f.name) for f in fields(params)]
-        if columns is None:
-            columns, kind = np.empty((len(values), len(grouped))), type(params)
-        columns[:, members] = values
-    if columns is None:
-        return ()
-    return tuple((x, kind(*v)) for (x, _), v in zip(grouped.groups, columns.T.tolist()))
+        raise
+    return DistDataset(np.array([x for x, _ in grouped.groups], dtype=np.float64), kind(*columns))
 
 
 def mean_group_size(grouped: GroupedDataset) -> float:

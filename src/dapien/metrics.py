@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, LengthMismatch, ZeroRange
+from .errors import DomainError, EmptyInput, LengthMismatch, ZeroRange
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,10 @@ def evaluate(
     """All four measures in one report; ``cwc_mu`` defaults to the confidence.
 
     ``lower[i]`` and ``upper[i]`` bound the interval for ``targets[i]``.
+    A confidence outside (0, 1), nan included, raises ``DomainError``.
     """
+    if not (0.0 < confidence < 1.0):
+        raise DomainError(f"confidence must lie in (0, 1), got {confidence}")
     mu = confidence if cwc_mu is None else cwc_mu
     p = picp(lower, upper, targets)
     w = mpiw(lower, upper)

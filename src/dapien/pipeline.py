@@ -2,13 +2,15 @@
 
 Fitting proceeds in four phases: group training records by unique input,
 fit the chosen noise family to every group, train one regressor per
-distribution parameter on the (input, parameter) pairs, and at prediction
-time plug the parameters regressed for one input, or for a matrix's rows,
-into the family's quantile machinery.
+distribution parameter on the ``DistDataset``'s input matrix and that
+parameter's array, and at prediction time plug the parameters regressed
+for one input, or for a matrix's rows, into the family's quantile
+machinery.  Fit and prediction share one format: a family's parameter
+record with floats for one input and arrays for a matrix.
 
 All the pipeline knows of a family is its record in ``_FAMILIES``, so
 adding a family adds one record: which regressed parameters are positive,
-a group fit's regressed values, the family's parameters from regressed
+the group fits' regressed values, the family's parameters from regressed
 ones, whether the interval takes a Student-t critical value at ``ndf``
 (the mean group size), the interval, the point, and the groups the family
 cannot fit.  The Gaussian regresses mean and standard deviation (t
@@ -25,7 +27,6 @@ switches with, say, the parity of the bit sum.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -136,7 +137,7 @@ class _Family(NamedTuple):
     """What the pipeline needs of one noise family; its parameters in ``param_models`` order."""
 
     positive: tuple[bool, ...]  # per regressed parameter: train_positive, else identity train
-    targets: Callable  # a group's fitted parameters to its regressed values
+    targets: Callable  # the groups' fitted parameters to their regressed values
     params: Callable  # regressed values to the family's parameters
     uses_ndf: bool  # whether the interval takes a t critical value at ndf
     interval: Callable  # (params, confidence, ndf) to (lower, upper)
@@ -148,7 +149,7 @@ class _Family(NamedTuple):
 _FAMILIES = {
     DistFamily.GAUSSIAN: _Family(
         positive=(False, True),  # mean, sigma
-        targets=lambda p: (p.mean, math.sqrt(p.variance)),
+        targets=lambda p: (p.mean, np.sqrt(p.variance)),
         params=lambda mean, sigma: GaussianParams(mean, sigma * sigma),
         uses_ndf=True,
         interval=lambda p, confidence, ndf: gaussian_interval(p, t_quantile(confidence, ndf)),
@@ -238,8 +239,7 @@ def dapien_fit(samples, family: DistFamily, config: TrainConfig) -> DapienModel:
     grouped = group_by_unique_input(samples)
     dist = build_dist_dataset(grouped, family)  # checks the family
     record = _FAMILIES[family]
-    X = np.asarray([x for x, _ in dist.rows], dtype=np.float64)
-    columns = zip(*(record.targets(p) for _, p in dist.rows))
+    X, columns = dist.rows, record.targets(dist.params)
     models = []
     for i, (positive, t) in enumerate(zip(record.positive, columns)):
         c = replace(config, seed=child_seed(config.seed, i))  # parameter i gets child seed i

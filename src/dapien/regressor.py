@@ -217,12 +217,17 @@ class TrainConfig:
         _check_count("folds", self.folds)
 
 
-def _check_count(name, value) -> None:
-    """``TypeError`` unless ``value`` is an integer (a bool is not one), ``ValueError`` below 1."""
+def _check_integer(name, value) -> None:
+    """``TypeError`` unless ``value`` is an integer; a numpy integer is one, a bool is not."""
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise TypeError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1")
+
+
+def _check_count(name, value, least=1) -> None:
+    """``TypeError`` unless ``value`` is an integer, ``ValueError`` below ``least``."""
+    _check_integer(name, value)
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
 
 
 def child_seed(seed: int, index: int) -> int:

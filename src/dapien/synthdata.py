@@ -41,6 +41,7 @@ import numpy as np
 
 from .errors import EmptyDataset, InvalidRecord, LengthMismatch, RaggedFeatures, TooFewGroups
 from .grouping import Records, as_records
+from .regressor import _check_count, _check_integer
 
 
 _WRITE_CHUNK = 4096  # records per list and lines per write: about 160 kB of a d=13 file
@@ -54,7 +55,13 @@ class NoiseKind(Enum):
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Shape and noise choice for one synthetic dataset."""
+    """Shape and noise choice for one synthetic dataset.
+
+    ``noise`` must be a ``NoiseKind`` member, else ``ValueError``.  ``d``,
+    ``replicates`` and ``seed`` must be integers (a numpy integer is one, a
+    bool is not), else ``TypeError``; ``d`` must lie in [1, 24],
+    ``replicates`` be at least 1 and ``seed`` at least 0, else ``ValueError``.
+    """
 
     noise: NoiseKind
     d: int = 10
@@ -62,15 +69,21 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.noise, NoiseKind):
+            raise ValueError(f"noise must be a NoiseKind member, got {self.noise!r}")
+        _check_integer("d", self.d)
         if not (1 <= self.d <= 24):
             raise ValueError("d must lie in [1, 24] (full enumeration bound)")
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
+        _check_count("replicates", self.replicates)
+        _check_count("seed", self.seed, least=0)
 
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Fraction of unique inputs routed to the test side, plus seed."""
+    """Fraction of unique inputs routed to the test side, plus seed.
+
+    ``seed`` is checked as ``GeneratorSpec.seed`` is.
+    """
 
     test_fraction: float = 0.2
     seed: int = 0
@@ -78,6 +91,7 @@ class SplitSpec:
     def __post_init__(self):
         if not (0.0 < self.test_fraction < 1.0):
             raise ValueError("test_fraction must lie in (0, 1)")
+        _check_count("seed", self.seed, least=0)
 
 
 def generate(spec: GeneratorSpec) -> Records:
@@ -199,7 +213,9 @@ def read_csv(path) -> Records:
     their line end are skipped; ``\r\n``, ``\n`` and ``\r`` all end a
     line.  Quoting must be strict CSV, and no quoted cell may hold a comma
     or a line break, both of which ``csv.reader`` would accept; a file
-    that ``write_csv`` writes has neither.
+    that ``write_csv`` writes has neither.  A header cell holding a line
+    break is refused, so the header is one line and a row is named by its
+    file line.
 
     Raises
     ------
@@ -208,7 +224,8 @@ def read_csv(path) -> Records:
     EmptyDataset
         If the file holds no records.
     InvalidRecord
-        On a missing or invalid header, an unparsable cell or malformed
+        On a missing or invalid header (one whose cell holds a line break
+        included), an unparsable cell or malformed
         quoting, a non-binary bit or a non-finite target, naming the file
         and row.
     """
@@ -218,8 +235,8 @@ def read_csv(path) -> Records:
             header = next(csv.reader(fh))
         except StopIteration:
             raise InvalidRecord(f"{path}: empty file, expected a header row") from None
-        if len(header) < 2 or header[-1] != "y":
-            raise InvalidRecord(f"{path}: expected header x_0..x_{{d-1}},y")
+        if len(header) < 2 or header[-1] != "y" or any("\r" in c or "\n" in c for c in header):
+            raise InvalidRecord(f"{path}: expected header x_0..x_{{d-1}},y on one line")
         d = len(header) - 1
         spellings = {}  # raw text before the last comma to its input's number
         numbers = {}  # parsed input to its number, in order of first appearance

@@ -2,13 +2,14 @@
 
 import math
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from dapien import distributions, grouping
 from dapien.bootstrap import bootstrap_fit
-from dapien.distributions import DistFamily, fit_gamma, fit_gaussian
+from dapien.distributions import DistFamily, GaussianParams, fit_gamma, fit_gaussian
 from dapien.errors import (
     DapienError,
     DegenerateGroup,
@@ -118,8 +119,8 @@ def test_build_dist_dataset_constant_group():
     )
     dist = build_dist_dataset(grouped, DistFamily.GAUSSIAN)
     assert len(dist.rows) == 1
-    params = dist.rows[0][1]
-    assert params.mean == 2.0 and params.variance == 0.0
+    params = dist.params
+    assert params.mean[0] == 2.0 and params.variance[0] == 0.0
 
 
 def test_build_dist_dataset_row_count_and_family():
@@ -127,7 +128,7 @@ def test_build_dist_dataset_row_count_and_family():
     grouped = group_by_unique_input(generate(spec))
     dist = build_dist_dataset(grouped, DistFamily.GAUSSIAN)
     assert len(dist.rows) == len(grouped)
-    assert dist.family is DistFamily.GAUSSIAN
+    assert type(dist.params) is GaussianParams
 
 
 @pytest.mark.parametrize("family", ["gaussian", "GAUSSIAN", "gamma", None])
@@ -168,17 +169,23 @@ def interleaved_groups(sizes, seed):
         ((k,), rng.normal(rng.normal(), 10.0 ** rng.uniform(-4, 4), size=n))
         for k, n in enumerate(sizes)
     )
-    return GroupedDataset(groups=groups, d=1)
+    return GroupedDataset(groups=groups)
 
 
-def test_gaussian_groups_of_mixed_sizes_get_their_own_fits_bit_for_bit():
-    grouped = interleaved_groups([1, 2, 3, 20] * 25 + [20, 3, 2, 1] * 25, seed=3)
-    dist = build_dist_dataset(grouped, DistFamily.GAUSSIAN)
-    assert [x for x, _ in dist.rows] == [x for x, _ in grouped.groups]
-    for (_, params), (_, ys) in zip(dist.rows, grouped.groups):
-        own = fit_gaussian(ys)
-        assert type(params.mean) is float and type(params.variance) is float
-        assert (params.mean, params.variance) == (own.mean, own.variance)
+@pytest.mark.parametrize("family, fit, sizes", [
+    (DistFamily.GAUSSIAN, fit_gaussian, [1, 2, 3, 20]), (DistFamily.GAMMA, fit_gamma, [3, 4, 5, 20]),
+], ids=["GAUSSIAN", "GAMMA"])
+def test_groups_of_mixed_sizes_get_their_own_fits_bit_for_bit(family, fit, sizes):
+    grouped = interleaved_groups(sizes * 25 + sizes[::-1] * 25, seed=3)
+    dist = build_dist_dataset(grouped, family)
+    assert dist.rows.dtype == np.float64 and dist.rows.shape == (len(grouped), 1)
+    for k, (x, ys) in enumerate(grouped.groups):
+        assert tuple(dist.rows[k]) == x
+        own = fit(ys)
+        for f in fields(own):
+            column = getattr(dist.params, f.name)
+            assert column.dtype == np.float64 and column.shape == (len(grouped),)
+            assert column[k].tobytes() == np.float64(getattr(own, f.name)).tobytes()
 
 
 def test_gaussian_groups_are_fitted_once_per_size(monkeypatch):
@@ -202,13 +209,19 @@ def test_the_first_gaussian_group_in_group_order_that_fails_is_named():
     groups[2] = ((2,), np.array([1e200, -1e200]))
     groups[4] = ((4,), np.array([1.0, math.inf, 2.0]))
     with pytest.raises(InvalidTarget, match="group 2: Gaussian fit needs finite mean"):
-        build_dist_dataset(GroupedDataset(groups=tuple(groups), d=1), DistFamily.GAUSSIAN)
+        build_dist_dataset(GroupedDataset(groups=tuple(groups)), DistFamily.GAUSSIAN)
 
 
 @pytest.mark.filterwarnings("error")
 def test_a_class_of_single_record_groups_has_variance_zero_without_a_warning():
     dist = build_dist_dataset(interleaved_groups([1, 1, 1], seed=6), DistFamily.GAUSSIAN)
-    assert [params.variance for _, params in dist.rows] == [0.0, 0.0, 0.0]
+    assert dist.params.variance.tolist() == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("family", list(DistFamily), ids=lambda f: f.name)
+def test_no_groups_are_an_empty_dataset(family):
+    with pytest.raises(EmptyDataset, match="no groups"):
+        build_dist_dataset(GroupedDataset(groups=()), family)
 
 
 def test_gamma_groups_are_fitted_once_per_size_bit_for_bit(monkeypatch):
@@ -222,11 +235,12 @@ def test_gamma_groups_are_fitted_once_per_size_bit_for_bit(monkeypatch):
     monkeypatch.setattr(grouping, "fit_gamma", counting_fit)
     dist = build_dist_dataset(grouped, DistFamily.GAMMA)
     assert sorted(calls) == [(1, 5), (2, 20), (3, 3)]
-    assert [x for x, _ in dist.rows] == [x for x, _ in grouped.groups]
-    for (_, params), (_, ys) in zip(dist.rows, grouped.groups):
+    assert dist.rows.tolist() == [list(x) for x, _ in grouped.groups]
+    for k, (_, ys) in enumerate(grouped.groups):
         own = fit_gamma(ys)
-        assert type(params.shape) is float
-        assert (params.shape, params.rate, params.location) == (own.shape, own.rate, own.location)
+        assert dist.params.shape.dtype == np.float64
+        params = (dist.params.shape[k], dist.params.rate[k], dist.params.location[k])
+        assert params == (own.shape, own.rate, own.location)
 
 
 @pytest.mark.filterwarnings("error")
@@ -243,16 +257,14 @@ def test_the_first_gamma_group_in_group_order_that_fails_is_named(bad):
     reason = distributions.gamma_degeneracy(bad)
     assert reason is not None and distributions.gamma_degeneracy(bad[:3]) is not None
     with pytest.raises(DegenerateGroup, match=f"^group 2: {re.escape(reason)}$"):
-        build_dist_dataset(GroupedDataset(groups=tuple(groups), d=1), DistFamily.GAMMA)
+        build_dist_dataset(GroupedDataset(groups=tuple(groups)), DistFamily.GAMMA)
 
 
 def test_dataset_a_odd_group_variances_concentrate():
     spec = GeneratorSpec(noise=NoiseKind.CONDITIONAL_WHITE, d=10, replicates=20, seed=5)
     grouped = group_by_unique_input(generate(spec))
     dist = build_dist_dataset(grouped, DistFamily.GAUSSIAN)
-    odd_vars = [
-        p.variance for x, p in dist.rows if sum(x) % 2 == 1
-    ]
+    odd_vars = dist.params.variance[dist.rows.sum(axis=1) % 2 == 1]
     assert len(odd_vars) == 512
     assert abs(float(np.median(odd_vars)) - 0.04) < 0.01
 

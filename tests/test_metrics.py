@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dapien.errors import EmptyInput, LengthMismatch, ZeroRange
+from dapien.errors import DomainError, EmptyInput, LengthMismatch, ZeroRange
 from dapien.metrics import cwc, evaluate, mpiw, nmpiw, picp
 
 
@@ -105,3 +105,10 @@ def test_evaluate_report_fields():
     assert set(doc) == {
         "picp", "mpiw", "nmpiw", "cwc", "n", "confidence", "cwc_mu", "cwc_eta",
     }
+
+
+@pytest.mark.parametrize("confidence", [2.0, 1.0, 0.0, -0.5, math.nan])
+def test_evaluate_rejects_a_confidence_outside_the_unit_interval(confidence):
+    # 2.0 gave CWC 2.5e32, nan gave CWC nan
+    with pytest.raises(DomainError, match="confidence must lie in \\(0, 1\\)"):
+        evaluate([0, 0], [1, 1], [0.5, 2.0], confidence)

@@ -391,3 +391,48 @@ def test_generator_spec_bounds():
         GeneratorSpec(noise=NoiseKind.SCALED_WHITE, replicates=0)
     with pytest.raises(ValueError):
         SplitSpec(test_fraction=1.0)
+
+
+def test_generator_spec_rejects_a_noise_that_is_not_a_member():
+    # the value of SCALED_WHITE: it drew dataset C's gamma targets
+    with pytest.raises(ValueError, match="NoiseKind member, got 'scaled_white'"):
+        GeneratorSpec(noise="scaled_white", d=2, replicates=3, seed=1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("replicates", 2.5), ("d", True), ("d", 2.0), ("seed", 1.5), ("seed", "1"),
+])
+def test_generator_spec_counts_and_seed_must_be_integers(field, value):
+    with pytest.raises(TypeError, match=f"{field} must be an integer, got {re.escape(repr(value))}"):
+        GeneratorSpec(noise=NoiseKind.SCALED_WHITE, **{field: value})
+
+
+def test_generator_spec_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        GeneratorSpec(noise=NoiseKind.SCALED_WHITE, seed=-1)
+
+
+def test_split_spec_seed_is_checked_as_the_generator_seed():
+    with pytest.raises(TypeError, match="seed must be an integer, got 1.5"):
+        SplitSpec(seed=1.5)
+    with pytest.raises(TypeError, match="seed must be an integer, got True"):
+        SplitSpec(seed=True)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        SplitSpec(seed=-1)
+
+
+def test_numpy_integers_are_integers_to_the_specs():
+    spec = GeneratorSpec(NoiseKind.SCALED_WHITE, d=np.int64(2), replicates=np.uint8(3), seed=np.int32(1))
+    plain = GeneratorSpec(NoiseKind.SCALED_WHITE, d=2, replicates=3, seed=1)
+    assert generate(spec) == generate(plain)
+    split = group_split(generate(plain), SplitSpec(seed=np.int64(4)))
+    assert split == group_split(generate(plain), SplitSpec(seed=4))
+
+
+def test_csv_header_cell_with_a_line_break_is_refused(tmp_path):
+    # csv.reader reads the header across two file lines; the row after it
+    # is file line 3, which a one-line header count would call row 2
+    path = tmp_path / "header.csv"
+    path.write_bytes(b'x_0,"y\nz",y\n0,1.0\n')
+    with pytest.raises(InvalidRecord, match=r"header\.csv: expected header .* on one line"):
+        read_csv(path)
